@@ -46,7 +46,6 @@ from .priority import (
     HeuristicPartition,
     draw_task,
     partition,
-    total_with_imperfect_heuristic,
     total_with_perfect_heuristic,
 )
 from .pairs import CandidatePair, RecordTable, all_pairs, candidates, similarity

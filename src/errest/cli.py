@@ -20,14 +20,7 @@ from .core import (
     write_truth_csv,
     write_votes_csv,
 )
-from .sim import (
-    GroundTruth,
-    load_scenario,
-    nan_aware_mean,
-    nan_aware_std,
-    permute_tasks,
-    simulate,
-)
+from .sim import GroundTruth, load_scenario, permute_and_average, simulate
 from .trajectory import (
     DEFAULT_SHIFT,
     DEFAULT_TREND_WINDOW,
@@ -35,6 +28,7 @@ from .trajectory import (
     evaluate_trajectory,
 )
 from .pairs import iter_scored_pairs, read_records_csv
+from .priority import stratum_rule
 
 __all__ = ["main", "run_estimate", "run_simulate", "run_pairs"]
 
@@ -140,35 +134,26 @@ def run_simulate(
     if truth_out is not None:
         write_truth_csv(truth.dirty_set, truth_out)
 
-    rng = np.random.default_rng(sc.seed)
-    n_tasks = log.task_count
-    columns = {name: np.full((sc.permutations, n_tasks), np.nan) for name in ESTIMATE_COLUMNS}
-    truth_xi = {
-        "xi_pos": np.full((sc.permutations, n_tasks), np.nan),
-        "xi_neg": np.full((sc.permutations, n_tasks), np.nan),
-    }
-    for i in range(sc.permutations):
-        order = list(range(n_tasks)) if i == 0 else list(rng.permutation(n_tasks))
-        rows = evaluate_trajectory(
-            permute_tasks(log, order), shift=shift, trend_window=trend_window, truth=truth
-        )
-        for k, row in enumerate(rows):
-            for name in ESTIMATE_COLUMNS:
-                columns[name][i, k] = row.value(name)
-            truth_xi["xi_pos"][i, k] = row.truth_xi_pos
-            truth_xi["xi_neg"][i, k] = row.truth_xi_neg
+    columns = ESTIMATE_COLUMNS + ("truth_xi_pos", "truth_xi_neg")
 
-    means = {name: nan_aware_mean(columns[name]) for name in ESTIMATE_COLUMNS}
-    stds = {name: nan_aware_std(columns[name]) for name in ESTIMATE_COLUMNS}
-    xi_truth_mean = {name: nan_aware_mean(truth_xi[name]) for name in truth_xi}
+    def trajectory_matrix(permuted):
+        rows = evaluate_trajectory(
+            permuted, shift=shift, trend_window=trend_window, truth=truth
+        )
+        values = [[row.value(name) for name in columns] for row in rows]
+        return np.array(values, dtype=float).reshape(len(rows), len(columns))
+
+    averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)
+    means = dict(zip(columns, averaged.mean.T))
+    stds = dict(zip(columns, averaged.std.T))
 
     with _open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        for k in range(n_tasks):
+        for k in range(log.task_count):
             for name in ESTIMATE_COLUMNS:
-                if name in xi_truth_mean:
-                    truth_cell = fmt(float(xi_truth_mean[name][k]))
+                if f"truth_{name}" in means:
+                    truth_cell = fmt(float(means[f"truth_{name}"][k]))
                 else:
                     truth_cell = fmt(sc.n_dirty)
                 writer.writerow(
@@ -184,20 +169,23 @@ def run_simulate(
 
 def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
     """Score the candidate-pair universe and write it with stratum labels."""
-    if not 0.0 <= alpha <= beta <= 1.0:
-        raise ValueError(f"need 0 <= alpha <= beta <= 1, got {alpha}, {beta}")
+    stratum = stratum_rule(alpha, beta)
     table = read_records_csv(records_csv)
     with _open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PAIRS_HEADER)
         for pair in iter_scored_pairs(table):
-            if pair.similarity > beta:
-                stratum = "auto_dirty"
-            elif pair.similarity < alpha:
-                stratum = "auto_clean"
-            else:
-                stratum = "ambiguous"
-            writer.writerow([pair.left_id, pair.right_id, fmt(pair.similarity), stratum])
+            writer.writerow(
+                [pair.left_id, pair.right_id, fmt(pair.similarity), stratum(pair.similarity)]
+            )
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of the integer flags; argparse names the flag on error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,9 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="replay a vote log into estimator trajectories")
     est.add_argument("votes_csv", help="vote log (task_id,worker_id,item_id,label)")
-    est.add_argument("--n-items", type=int, required=True, help="item universe size N")
-    est.add_argument("--shift", type=int, default=DEFAULT_SHIFT)
-    est.add_argument("--trend-window", type=int, default=DEFAULT_TREND_WINDOW)
+    est.add_argument(
+        "--n-items", type=non_negative_int, required=True, help="item universe size N"
+    )
+    est.add_argument("--shift", type=non_negative_int, default=DEFAULT_SHIFT)
+    est.add_argument("--trend-window", type=non_negative_int, default=DEFAULT_TREND_WINDOW)
     est.add_argument("--truth", help="CSV of true-dirty item ids, one per line")
     est.add_argument("--out", default="-")
 
@@ -223,8 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--seed", type=int)
     simp.add_argument("--permutations", type=int)
     simp.add_argument("--epsilon", type=float)
-    simp.add_argument("--shift", type=int, default=DEFAULT_SHIFT)
-    simp.add_argument("--trend-window", type=int, default=DEFAULT_TREND_WINDOW)
+    simp.add_argument("--shift", type=non_negative_int, default=DEFAULT_SHIFT)
+    simp.add_argument("--trend-window", type=non_negative_int, default=DEFAULT_TREND_WINDOW)
 
     prs = sub.add_parser("pairs", help="expand and score candidate record pairs")
     prs.add_argument("records_csv", help="records (record_id,field1,field2,...)")

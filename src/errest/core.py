@@ -38,8 +38,9 @@ VOTES_CSV_HEADER = ["task_id", "worker_id", "item_id", "label"]
 class MalformedInputError(ValueError):
     """Raised when an input file or vote stream violates the data contract."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, position: int | None = None):
         self.line = line
+        self.position = position  # index of the offending vote, when known
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -77,30 +78,34 @@ class VoteLog:
 
     def __post_init__(self):
         seen_pairs = set()
-        seen_tasks = {}
+        seen_tasks = set()
         prev_task = None
         for idx, v in enumerate(self.votes):
             if v.seq != idx:
                 raise MalformedInputError(
                     f"vote seq {v.seq} at position {idx}: seq must be the "
-                    "0-based arrival index"
+                    "0-based arrival index",
+                    position=idx,
                 )
             if not 0 <= v.item_id < self.item_count:
                 raise MalformedInputError(
-                    f"item_id {v.item_id} outside universe [0, {self.item_count})"
+                    f"item_id {v.item_id} outside universe [0, {self.item_count})",
+                    position=idx,
                 )
             pair = (v.item_id, v.worker_id)
             if pair in seen_pairs:
                 raise MalformedInputError(
-                    f"worker {v.worker_id!r} votes twice on item {v.item_id}"
+                    f"worker {v.worker_id!r} votes twice on item {v.item_id}",
+                    position=idx,
                 )
             seen_pairs.add(pair)
             if v.task_id != prev_task:
                 if v.task_id in seen_tasks:
                     raise MalformedInputError(
-                        f"task {v.task_id!r} is split into non-contiguous blocks"
+                        f"task {v.task_id!r} is split into non-contiguous blocks",
+                        position=idx,
                     )
-                seen_tasks[v.task_id] = idx
+                seen_tasks.add(v.task_id)
                 prev_task = v.task_id
 
     def __len__(self) -> int:
@@ -139,23 +144,9 @@ class TallyState:
     pos: np.ndarray
     neg: np.ndarray
 
-    @classmethod
-    def empty(cls, item_count: int) -> "TallyState":
-        return cls(np.zeros(item_count, dtype=np.int64), np.zeros(item_count, dtype=np.int64))
-
     @property
     def item_count(self) -> int:
         return len(self.pos)
-
-    def apply(self, item_id: int, label: Label) -> None:
-        """Fold one more vote into the counters."""
-        if label is Label.DIRTY:
-            self.pos[item_id] += 1
-        else:
-            self.neg[item_id] += 1
-
-    def copy(self) -> "TallyState":
-        return TallyState(self.pos.copy(), self.neg.copy())
 
 
 @dataclass(frozen=True)
@@ -218,15 +209,17 @@ def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
     return fstats_from_tally(tally(log, upto_seq))
 
 
-def _parse_votes(rows: Iterable[Sequence[str]], item_count: int, first_line: int) -> list[Vote]:
+def _parse_votes(
+    rows: Iterable[Sequence[str]], first_line: int
+) -> tuple[list[Vote], list[int]]:
+    """Parse vote rows; returns the votes and the source line of each.
+
+    Checks only the row format; VoteLog checks the log contract.
+    """
     votes = []
-    seen_pairs = set()
-    finished_tasks = set()
-    current_task = None
-    line = first_line
-    for row in rows:
+    lines = []
+    for line, row in enumerate(rows, first_line):
         if not row or (len(row) == 1 and not row[0].strip()):
-            line += 1
             continue
         if len(row) != 4:
             raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
@@ -235,25 +228,8 @@ def _parse_votes(rows: Iterable[Sequence[str]], item_count: int, first_line: int
             item_id = int(item_s)
         except ValueError:
             raise MalformedInputError(f"item_id {item_s!r} is not an integer", line) from None
-        if not 0 <= item_id < item_count:
-            raise MalformedInputError(
-                f"item_id {item_id} outside universe [0, {item_count})", line
-            )
         if label_s not in ("0", "1"):
             raise MalformedInputError(f"label {label_s!r} must be 0 or 1", line)
-        if (item_id, worker_id) in seen_pairs:
-            raise MalformedInputError(
-                f"worker {worker_id!r} votes twice on item {item_id}", line
-            )
-        seen_pairs.add((item_id, worker_id))
-        if task_id != current_task:
-            if task_id in finished_tasks:
-                raise MalformedInputError(
-                    f"rows of task {task_id!r} are not contiguous", line
-                )
-            if current_task is not None:
-                finished_tasks.add(current_task)
-            current_task = task_id
         votes.append(
             Vote(
                 item_id=item_id,
@@ -263,15 +239,16 @@ def _parse_votes(rows: Iterable[Sequence[str]], item_count: int, first_line: int
                 seq=len(votes),
             )
         )
-        line += 1
-    return votes
+        lines.append(line)
+    return votes, lines
 
 
 def read_votes_csv(path, item_count: int) -> VoteLog:
     """Load a vote log from CSV (header task_id,worker_id,item_id,label).
 
     Row order is arrival order; rows must be grouped by task. The item
-    universe size is supplied out of band.
+    universe size is supplied out of band. Contract errors name the
+    offending line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -283,10 +260,13 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
             raise MalformedInputError(
                 f"header must be {','.join(VOTES_CSV_HEADER)}", 1
             )
-        votes = _parse_votes(reader, item_count, first_line=2)
+        votes, lines = _parse_votes(reader, first_line=2)
     sizes = Counter(v.task_id for v in votes)
     task_size = max(sizes.values()) if sizes else 0
-    return VoteLog(votes=tuple(votes), item_count=item_count, task_size=task_size)
+    try:
+        return VoteLog(votes=tuple(votes), item_count=item_count, task_size=task_size)
+    except MalformedInputError as exc:
+        raise MalformedInputError(str(exc), lines[exc.position]) from None
 
 
 def write_votes_csv(log: VoteLog, path) -> None:

@@ -98,24 +98,26 @@ def cv2(f: FStatistics, d_noskew: float) -> float:
     return max(d_noskew * ssum / (n * (n - 1)) - 1.0, 0.0)
 
 
-def _chao_form(c: int, f: FStatistics, universe: int | None) -> EstimatorOutput:
-    """Coverage-adjusted species estimate c/C + f1*cv2/C over fingerprint f.
+def _chao_form(
+    c: int, f: FStatistics, skew: FStatistics, universe: int | None
+) -> EstimatorOutput:
+    """Coverage-adjusted species estimate c/C + f1*cv2/C with C = coverage(f).
 
-    At zero coverage (every observation a singleton) the ratio form
-    diverges; the estimate is then capped at the item universe size when
-    one is supplied (infinite otherwise) and flagged LOW_COVERAGE.
+    The coefficient of variation comes from the `skew` fingerprint,
+    anchored at its own coverage-only estimate. At zero coverage (every
+    observation a singleton) the ratio form diverges; the estimate is
+    then capped at the item universe size when one is supplied (infinite
+    otherwise) and flagged LOW_COVERAGE.
     """
-    if f.n == 0:
-        return EstimatorOutput(0.0, 0.0, 1.0, 0.0)
-    cover = min(max(1.0 - f.f1 / f.n, 0.0), 1.0)
+    cover = coverage(f)
     if cover == 0.0:
         total = float(universe) if universe is not None else math.inf
         return EstimatorOutput(
             total, max(total - c, 0.0), 0.0, 0.0, flags=(LOW_COVERAGE,)
         )
-    d_noskew = c / cover
-    gamma2 = cv2(f, d_noskew)
-    total = d_noskew + f.f1 * gamma2 / cover
+    skew_cover = coverage(skew)
+    gamma2 = cv2(skew, skew.c / skew_cover) if skew_cover > 0 else 0.0
+    total = c / cover + f.f1 * gamma2 / cover
     return EstimatorOutput(total, max(total - c, 0.0), cover, gamma2)
 
 
@@ -125,7 +127,7 @@ def chao92(f: FStatistics, universe: int | None = None) -> EstimatorOutput:
     Uses the nominal distinct count carried by the fingerprint; pass
     the item universe size to enable the zero-coverage cap.
     """
-    return _chao_form(f.c, f, universe)
+    return _chao_form(f.c, f, f, universe)
 
 
 def vchao92(
@@ -151,15 +153,6 @@ def vchao92(
         raise InsufficientDataError(
             f"shift {shift} leaves no effective sample (n={f.n})"
         )
-    shifted_freq = {j - shift: fj for j, fj in f.freq.items() if j > shift}
-    f1s = shifted_freq.get(1, 0)
-    cover = min(max(1.0 - f1s / n_shifted, 0.0), 1.0)
-    if cover == 0.0:
-        total = float(universe) if universe is not None else math.inf
-        return EstimatorOutput(
-            total, max(total - c_majority, 0.0), 0.0, 0.0, flags=(LOW_COVERAGE,)
-        )
-    raw_cover = coverage(f)
-    gamma2 = cv2(f, f.c / raw_cover) if raw_cover > 0 else 0.0
-    total = c_majority / cover + f1s * gamma2 / cover
-    return EstimatorOutput(total, max(total - c_majority, 0.0), cover, gamma2)
+    freq = {j - shift: fj for j, fj in f.freq.items() if j > shift}
+    shifted = FStatistics(freq=freq, n=n_shifted, c=sum(freq.values()))
+    return _chao_form(c_majority, shifted, f, universe)

@@ -18,7 +18,6 @@ __all__ = [
     "CandidatePair",
     "read_records_csv",
     "all_pairs",
-    "iter_record_pairs",
     "iter_scored_pairs",
     "normalize_fields",
     "edit_distance",
@@ -87,14 +86,6 @@ def all_pairs(t: RecordTable) -> int:
     """Size of the unordered, self-excluded pair universe: N(N-1)/2."""
     n = len(t)
     return n * (n - 1) // 2
-
-
-def iter_record_pairs(t: RecordTable) -> Iterator[tuple[int, int]]:
-    """Stream row-index pairs (i, j) with i < j; never materializes them."""
-    n = len(t)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
 
 
 def normalize_fields(fields: Sequence[str], sep: str = " ") -> str:

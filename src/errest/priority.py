@@ -7,24 +7,20 @@ epsilon-randomized escape hatch into the rest of the universe so that
 heuristic mistakes can still surface.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-
-from .core import MalformedInputError
 
 __all__ = [
     "HeuristicPartition",
     "EpsilonPolicy",
+    "stratum_rule",
     "partition",
     "draw_task",
     "total_with_perfect_heuristic",
-    "total_with_imperfect_heuristic",
-    "load_scores_csv",
 ]
 
 DEFAULT_EPSILON = 0.1
@@ -55,25 +51,43 @@ class HeuristicPartition:
         return tuple(sorted(self.auto_dirty + self.auto_clean))
 
 
-def partition(scores: Sequence[float], alpha: float, beta: float) -> HeuristicPartition:
-    """Split items by score into auto-clean / ambiguous / auto-dirty."""
+def stratum_rule(alpha: float, beta: float) -> Callable[[float], str]:
+    """Check the band [alpha, beta] and return the rule placing one score.
+
+    The rule names the stratum: "auto_dirty" above beta, "auto_clean"
+    below alpha, "ambiguous" inside the closed band.
+    """
     if not 0.0 <= alpha <= beta <= 1.0:
         raise ValueError(f"need 0 <= alpha <= beta <= 1, got {alpha}, {beta}")
+
+    def stratum(score: float) -> str:
+        if score > beta:
+            return "auto_dirty"
+        if score < alpha:
+            return "auto_clean"
+        return "ambiguous"
+
+    return stratum
+
+
+def partition(scores: Sequence[float], alpha: float, beta: float) -> HeuristicPartition:
+    """Split items by score into auto-clean / ambiguous / auto-dirty."""
+    rule = stratum_rule(alpha, beta)
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1:
         raise ValueError("scores must be one-dimensional")
-    if len(arr) and (arr.min() < 0.0 or arr.max() > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("scores must lie in [0, 1]")
-    ambiguous = tuple(int(i) for i in np.flatnonzero((arr >= alpha) & (arr <= beta)))
-    auto_dirty = tuple(int(i) for i in np.flatnonzero(arr > beta))
-    auto_clean = tuple(int(i) for i in np.flatnonzero(arr < alpha))
+    strata: dict[str, list[int]] = {"ambiguous": [], "auto_dirty": [], "auto_clean": []}
+    for item, score in enumerate(arr.tolist()):
+        strata[rule(score)].append(item)
     return HeuristicPartition(
         scores=arr,
         alpha=alpha,
         beta=beta,
-        ambiguous=ambiguous,
-        auto_dirty=auto_dirty,
-        auto_clean=auto_clean,
+        ambiguous=tuple(strata["ambiguous"]),
+        auto_dirty=tuple(strata["auto_dirty"]),
+        auto_clean=tuple(strata["auto_clean"]),
     )
 
 
@@ -147,43 +161,3 @@ def total_with_perfect_heuristic(d_hat_on_rh: float, p: HeuristicPartition) -> f
     The estimate over the ambiguous band plus everything auto-dirty.
     """
     return float(d_hat_on_rh) + len(p.auto_dirty)
-
-
-def total_with_imperfect_heuristic(d_hat_on_r: float) -> float:
-    """Total errors when estimation already spanned the whole universe.
-
-    A pass-through; named so result tables record which regime produced
-    the figure.
-    """
-    return float(d_hat_on_r)
-
-
-def load_scores_csv(path, item_count: int) -> np.ndarray:
-    """Load per-item heuristic scores from CSV (header item_id,score)."""
-    scores = np.full(item_count, np.nan)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInputError("missing header row", 1) from None
-        if [h.strip() for h in header] != ["item_id", "score"]:
-            raise MalformedInputError("header must be item_id,score", 1)
-        for line_no, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedInputError(f"expected 2 columns, got {len(row)}", line_no)
-            try:
-                item_id, score = int(row[0]), float(row[1])
-            except ValueError:
-                raise MalformedInputError(f"bad row {row!r}", line_no) from None
-            if not 0 <= item_id < item_count:
-                raise MalformedInputError(
-                    f"item_id {item_id} outside universe [0, {item_count})", line_no
-                )
-            scores[item_id] = score
-    missing = np.flatnonzero(np.isnan(scores))
-    if len(missing):
-        raise MalformedInputError(f"missing score for item {int(missing[0])}")
-    return scores

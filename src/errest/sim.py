@@ -207,27 +207,31 @@ def nan_aware_std(runs: np.ndarray) -> np.ndarray:
 def permute_and_average(
     log: VoteLog,
     r: int,
-    estimator: Callable[[VoteLog], Sequence[float]],
+    estimator: Callable[[VoteLog], Sequence[float] | np.ndarray],
     seed: int = 0,
 ) -> PermutedTrajectory:
     """Average an estimator trajectory over r task-order permutations.
 
     The first permutation is always the identity, so r=1 reproduces the
-    single-run trajectory. `estimator` maps a log to one value per task.
-    NaN marks undefined points and is ignored by the aggregation.
+    single-run trajectory. `estimator` maps a log to one value per task,
+    or to one row of k values per task (shape (tasks, k)). NaN marks
+    undefined points and is ignored by the aggregation.
     """
     if r < 1:
         raise ValueError(f"need r >= 1 permutations, got {r}")
     rng = np.random.default_rng(seed)
     n_tasks = log.task_count
-    runs = np.full((r, n_tasks), np.nan)
+    runs = []
     for i in range(r):
         order = list(range(n_tasks)) if i == 0 else list(rng.permutation(n_tasks))
         values = np.asarray(estimator(permute_tasks(log, order)), dtype=float)
         if len(values) != n_tasks:
             raise ValueError("estimator must produce one value per task")
-        runs[i] = values
-    return PermutedTrajectory(mean=nan_aware_mean(runs), std=nan_aware_std(runs), per_run=runs)
+        runs.append(values)
+    per_run = np.stack(runs)
+    return PermutedTrajectory(
+        mean=nan_aware_mean(per_run), std=nan_aware_std(per_run), per_run=per_run
+    )
 
 
 def load_scenario(path) -> SimScenario:

@@ -31,7 +31,6 @@ __all__ = [
     "Trend",
     "SwitchEvent",
     "SwitchStats",
-    "ConsensusState",
     "SwitchReplay",
     "TotalErrorEstimate",
     "FALLBACK_MAJORITY",
@@ -83,15 +82,6 @@ class SwitchStats:
     c_switch: int
     f_prime: dict[int, int]
     n_switch: int
-
-
-@dataclass(frozen=True)
-class ConsensusState:
-    """Per-item snapshot of the running consensus and its vote counts."""
-
-    pos: np.ndarray
-    neg: np.ndarray
-    dirty: np.ndarray
 
 
 class SwitchReplay:
@@ -146,9 +136,6 @@ class SwitchReplay:
             n_switch=self._total_votes - self._noops,
         )
 
-    def state(self) -> ConsensusState:
-        return ConsensusState(self._pos.copy(), self._neg.copy(), self._dirty.copy())
-
     @property
     def pos(self) -> np.ndarray:
         """Per-item dirty-vote counts so far; treat as read-only."""
@@ -201,25 +188,28 @@ def d_switch(f: FStatistics, universe: int | None = None) -> EstimatorOutput:
     return chao92(f, universe=universe)
 
 
+@dataclass(frozen=True)
+class TotalErrorEstimate:
+    """A switch-derived figure with the degeneracy markers behind it."""
+
+    value: float
+    flags: tuple[str, ...] = ()
+
+
 def remaining_switches(
     stats: SwitchStats,
     direction: Direction | None = None,
     universe: int | None = None,
-) -> float:
-    """Expected consensus flips not yet observed, clamped at zero."""
+) -> TotalErrorEstimate:
+    """Expected consensus flips not yet observed, clamped at zero.
+
+    The flags are those of the d_switch estimate behind the figure.
+    """
     f = switch_fstats(stats, direction)
     if f.c == 0:
-        return 0.0
+        return TotalErrorEstimate(0.0)
     est = d_switch(f, universe=universe)
-    return max(est.total_errors_hat - f.c, 0.0)
-
-
-@dataclass(frozen=True)
-class TotalErrorEstimate:
-    """A switch-corrected total-error figure with degeneracy markers."""
-
-    value: float
-    flags: tuple[str, ...] = ()
+    return TotalErrorEstimate(max(est.total_errors_hat - f.c, 0.0), est.flags)
 
 
 def switch_total_errors(
@@ -237,14 +227,14 @@ def switch_total_errors(
     universe = t.item_count
     try:
         if trend is Trend.INCREASING:
-            value = m + remaining_switches(stats, Direction.POSITIVE, universe)
+            value = m + remaining_switches(stats, Direction.POSITIVE, universe).value
         elif trend is Trend.DECREASING:
-            value = m - remaining_switches(stats, Direction.NEGATIVE, universe)
+            value = m - remaining_switches(stats, Direction.NEGATIVE, universe).value
         else:
             value = (
                 m
-                + remaining_switches(stats, Direction.POSITIVE, universe)
-                - remaining_switches(stats, Direction.NEGATIVE, universe)
+                + remaining_switches(stats, Direction.POSITIVE, universe).value
+                - remaining_switches(stats, Direction.NEGATIVE, universe).value
             )
     except InsufficientDataError:
         return TotalErrorEstimate(float(m), flags=(FALLBACK_MAJORITY,))

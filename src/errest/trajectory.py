@@ -15,8 +15,7 @@ from .switch import (
     Direction,
     SwitchReplay,
     Trend,
-    d_switch,
-    switch_fstats,
+    remaining_switches,
     switch_total_errors,
 )
 
@@ -81,16 +80,6 @@ def trend_from_history(history: list[int], window: int) -> Trend:
     return Trend.FLAT
 
 
-def _one_sided_xi(replay_stats, direction, universe, column, flags):
-    f = switch_fstats(replay_stats, direction)
-    if f.c == 0:
-        return 0.0
-    est = d_switch(f, universe=universe)
-    for marker in est.flags:
-        flags.append(f"{column}:{marker}")
-    return max(est.total_errors_hat - f.c, 0.0)
-
-
 def evaluate_trajectory(
     log: VoteLog,
     shift: int = DEFAULT_SHIFT,
@@ -99,13 +88,12 @@ def evaluate_trajectory(
 ) -> list[TrajectoryRow]:
     """Replay the log and emit one TrajectoryRow per completed task."""
     n = log.item_count
-    tally_state = TallyState.empty(n)
     replay = SwitchReplay(n)
+    tally_state = TallyState(replay.pos, replay.neg)  # live view of the replay's counts
     majority_history: list[int] = []
     rows = []
     for task_index, (_, start, end) in enumerate(log.tasks):
         for v in log.votes[start:end]:
-            tally_state.apply(v.item_id, v.label)
             replay.apply(v.item_id, v.label, v.seq)
         flags: list[str] = []
 
@@ -127,8 +115,10 @@ def evaluate_trajectory(
             flags.append("vchao92_total:insufficient-data")
 
         stats = replay.snapshot()
-        xi_pos = _one_sided_xi(stats, Direction.POSITIVE, n, "xi_pos", flags)
-        xi_neg = _one_sided_xi(stats, Direction.NEGATIVE, n, "xi_neg", flags)
+        xi_pos = remaining_switches(stats, Direction.POSITIVE, n)
+        xi_neg = remaining_switches(stats, Direction.NEGATIVE, n)
+        for column, remaining in (("xi_pos", xi_pos), ("xi_neg", xi_neg)):
+            flags.extend(f"{column}:{marker}" for marker in remaining.flags)
         trend = trend_from_history(majority_history, trend_window)
         total = switch_total_errors(tally_state, stats, trend)
         for marker in total.flags:
@@ -147,8 +137,8 @@ def evaluate_trajectory(
                 chao92_total=chao.total_errors_hat,
                 vchao92_total=vchao_total,
                 switch_total=total.value,
-                xi_pos=xi_pos,
-                xi_neg=xi_neg,
+                xi_pos=xi_pos.value,
+                xi_neg=xi_neg.value,
                 coverage_hat=chao.coverage_hat,
                 truth=truth_count,
                 flags=tuple(flags),

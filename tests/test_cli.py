@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from errest.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -61,6 +63,22 @@ class TestEstimate:
         code = main(["estimate", str(votes), "--n-items", "3"])
         assert code == 2
         assert "universe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--trend-window", ["--n-items", "5", "--trend-window", "-3"]),
+            ("--shift", ["--n-items", "5", "--shift", "-1"]),
+            ("--n-items", ["--n-items", "-1"]),
+        ],
+    )
+    def test_negative_integer_flag_exit_2(self, tmp_path, capsys, flag, extra):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n0,w0,0,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(votes), *extra])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestSimulate:

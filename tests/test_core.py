@@ -198,3 +198,11 @@ class TestCsv:
         )
         with pytest.raises(MalformedInputError, match="line 4.*contiguous"):
             read_votes_csv(path, item_count=3)
+
+    def test_contract_error_line_counts_blank_rows(self, tmp_path):
+        path = tmp_path / "votes.csv"
+        path.write_text(
+            "task_id,worker_id,item_id,label\n0,w0,0,1\n\n\n0,w0,0,0\n"
+        )
+        with pytest.raises(MalformedInputError, match="line 5.*twice"):
+            read_votes_csv(path, item_count=1)

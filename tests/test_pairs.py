@@ -11,7 +11,6 @@ from errest.pairs import (
     all_pairs,
     candidates,
     edit_distance,
-    iter_record_pairs,
     iter_scored_pairs,
     normalize_fields,
     read_records_csv,
@@ -109,16 +108,16 @@ class TestCandidates:
 
 class TestStreaming:
     def test_generation_never_materializes_pairs(self):
-        n = 5000
+        n = 1100
         t = RecordTable(ids=tuple(f"{i:05d}" for i in range(n)), fields=(("",),) * n)
         tracemalloc.start()
         count = 0
-        for _ in iter_record_pairs(t):
+        for _ in iter_scored_pairs(t):
             count += 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert count == n * (n - 1) // 2 == all_pairs(t)
-        assert peak < 10 * 1024 * 1024  # far below the ~300MB of materialized pairs
+        assert peak < 10 * 1024 * 1024  # far below the ~60MB of materialized pairs
 
 
 class TestRecordsCsv:

@@ -172,23 +172,29 @@ class TestDSwitch:
 class TestRemainingSwitches:
     def test_no_singletons_means_none_remaining(self):
         stats = replay_switches(make_log([[(0, D)], [(0, D)]], item_count=1))
-        assert remaining_switches(stats) == 0.0
+        assert remaining_switches(stats).value == 0.0
 
     def test_hand_arithmetic(self):
         log = make_log([[(0, D)], [(0, D)], [(0, D)], [(1, D)]], item_count=2)
         stats = replay_switches(log)
-        assert remaining_switches(stats) == pytest.approx(28 / 9 - 2, rel=1e-9)
+        assert remaining_switches(stats).value == pytest.approx(28 / 9 - 2, rel=1e-9)
 
     def test_no_events(self):
         stats = replay_switches(make_log([[(0, C)]], item_count=1))
-        assert remaining_switches(stats) == 0.0
+        assert remaining_switches(stats).value == 0.0
 
     def test_clamped_at_zero(self):
         rng = np.random.default_rng(55)
         for _ in range(50):
             stats = replay_switches(random_log(rng))
-            assert remaining_switches(stats, universe=100) >= 0.0
-            assert remaining_switches(stats, Direction.POSITIVE, universe=100) >= 0.0
+            assert remaining_switches(stats, universe=100).value >= 0.0
+            assert remaining_switches(stats, Direction.POSITIVE, universe=100).value >= 0.0
+
+    def test_carries_d_switch_flags(self):
+        # two singleton flips: zero coverage, so the figure is the capped remainder
+        stats = replay_switches(make_log([[(0, D)], [(1, D)]], item_count=2))
+        out = remaining_switches(stats, universe=9)
+        assert out.value == 7.0 and out.flags == (LOW_COVERAGE,)
 
 
 def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
