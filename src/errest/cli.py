@@ -180,12 +180,21 @@ def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
             )
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def non_negative_int(text: str) -> int:
     """argparse type of the integer flags; argparse names the flag on error."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _int_at_least(text, 0)
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the count flags; argparse names the flag on error."""
+    return _int_at_least(text, 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--out", default="-")
     simp.add_argument("--votes-out", help="also export the generated vote log")
     simp.add_argument("--truth-out", help="also export the true-dirty item ids")
-    simp.add_argument("--seed", type=int)
-    simp.add_argument("--permutations", type=int)
+    simp.add_argument("--seed", type=non_negative_int)
+    simp.add_argument("--permutations", type=positive_int)
     simp.add_argument("--epsilon", type=float)
     simp.add_argument("--shift", type=non_negative_int, default=DEFAULT_SHIFT)
     simp.add_argument("--trend-window", type=non_negative_int, default=DEFAULT_TREND_WINDOW)

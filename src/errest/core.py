@@ -199,9 +199,10 @@ def fstats_from_tally(t: TallyState) -> FStatistics:
     Classes are the items marked dirty at least once; clean votes do
     not contribute.
     """
-    counts = t.pos[t.pos > 0]
-    freq = Counter(int(x) for x in counts)
-    return FStatistics(freq=freq, n=int(t.pos.sum()), c=int(len(counts)))
+    counts = np.bincount(t.pos)
+    multiplicities = np.flatnonzero(counts[1:]) + 1
+    freq = dict(zip(multiplicities.tolist(), counts[multiplicities].tolist()))
+    return FStatistics(freq=freq, n=int(t.pos.sum()), c=sum(freq.values()))
 
 
 def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:

@@ -11,7 +11,8 @@ to smooth trajectory comparisons.
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,10 +80,14 @@ class GroundTruth:
     dirty_set: frozenset[int]
     n_items: int
 
-    def dirty_mask(self) -> np.ndarray:
+    @cached_property
+    def _mask(self) -> np.ndarray:
         mask = np.zeros(self.n_items, dtype=bool)
         mask[list(self.dirty_set)] = True
         return mask
+
+    def dirty_mask(self) -> np.ndarray:
+        return self._mask.copy()
 
     def switches_needed(self, t: TallyState) -> tuple[int, int]:
         """Consensus flips needed to reach the truth from a tally.
@@ -92,9 +97,9 @@ class GroundTruth:
         needs exactly one flip.
         """
         consensus = t.pos > t.neg
-        truth = self.dirty_mask()
-        positive = int((truth & ~consensus).sum())
-        negative = int((~truth & consensus).sum())
+        truth = self._mask
+        positive = int(np.count_nonzero(truth & ~consensus))
+        negative = int(np.count_nonzero(~truth & consensus))
         return positive, negative
 
 
@@ -177,7 +182,7 @@ def permute_tasks(log: VoteLog, order: Sequence[int]) -> VoteLog:
     for b in order:
         _, start, end = blocks[b]
         for v in log.votes[start:end]:
-            votes.append(replace(v, seq=len(votes)))
+            votes.append(Vote(v.item_id, v.worker_id, v.task_id, v.label, len(votes)))
     return VoteLog(votes=tuple(votes), item_count=log.item_count, task_size=log.task_size)
 
 
@@ -223,8 +228,8 @@ def permute_and_average(
     n_tasks = log.task_count
     runs = []
     for i in range(r):
-        order = list(range(n_tasks)) if i == 0 else list(rng.permutation(n_tasks))
-        values = np.asarray(estimator(permute_tasks(log, order)), dtype=float)
+        permuted = log if i == 0 else permute_tasks(log, list(rng.permutation(n_tasks)))
+        values = np.asarray(estimator(permuted), dtype=float)
         if len(values) != n_tasks:
             raise ValueError("estimator must produce one value per task")
         runs.append(values)

@@ -17,7 +17,6 @@ path, and the gap between the estimate and the observed event count is
 the number of consensus flips still expected.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,16 +75,47 @@ class SwitchEvent:
 
 @dataclass(frozen=True)
 class SwitchStats:
-    """All switch events of a log prefix plus the adjusted sample size."""
+    """All switch events of a log prefix plus the adjusted sample size.
+
+    f_pos and f_neg are the one-sided fingerprints: they map a
+    multiplicity j to the number of positive (negative) events seen
+    exactly j times.
+    """
 
     events: tuple[SwitchEvent, ...]
     c_switch: int
-    f_prime: dict[int, int]
+    f_pos: dict[int, int]
+    f_neg: dict[int, int]
     n_switch: int
+
+    @property
+    def f_prime(self) -> dict[int, int]:
+        """Fingerprint of all events: the sum of the one-sided ones."""
+        freq = dict(self.f_pos)
+        for j, fj in self.f_neg.items():
+            freq[j] = freq.get(j, 0) + fj
+        return freq
+
+
+def _bump(freq: dict[int, int], old: int) -> None:
+    """Move one class of a fingerprint from multiplicity old to old + 1.
+
+    old = 0 adds a new class; entries that reach zero are dropped.
+    """
+    if old:
+        if freq[old] == 1:
+            del freq[old]
+        else:
+            freq[old] -= 1
+    freq[old + 1] = freq.get(old + 1, 0) + 1
 
 
 class SwitchReplay:
-    """Incremental single-pass switch detector over an arriving vote stream."""
+    """Incremental single-pass switch detector over an arriving vote stream.
+
+    Each vote updates the per-item counts, at most one event and the
+    one-sided fingerprints in O(1), so a snapshot only copies state.
+    """
 
     def __init__(self, item_count: int):
         self.item_count = item_count
@@ -93,10 +123,9 @@ class SwitchReplay:
         self._neg = np.zeros(item_count, dtype=np.int64)
         self._dirty = np.zeros(item_count, dtype=bool)
         self._latest = np.full(item_count, -1, dtype=np.int64)
-        self._ev_item: list[int] = []
-        self._ev_seq: list[int] = []
-        self._ev_dir: list[Direction] = []
-        self._ev_mult: list[int] = []
+        self._events: list[SwitchEvent] = []
+        self._f_pos: dict[int, int] = {}
+        self._f_neg: dict[int, int] = {}
         self._total_votes = 0
         self._noops = 0
 
@@ -109,30 +138,31 @@ class SwitchReplay:
         self._total_votes += 1
         pos, neg = self._pos[item_id], self._neg[item_id]
         flips = (pos + neg == 1 and label is Label.DIRTY) or (pos == neg)
+        latest = self._latest[item_id]
         if flips:
-            self._dirty[item_id] = not self._dirty[item_id]
-            self._ev_item.append(item_id)
-            self._ev_seq.append(seq)
-            self._ev_dir.append(
-                Direction.POSITIVE if self._dirty[item_id] else Direction.NEGATIVE
+            dirty = not self._dirty[item_id]
+            self._dirty[item_id] = dirty
+            self._latest[item_id] = len(self._events)
+            direction = Direction.POSITIVE if dirty else Direction.NEGATIVE
+            self._events.append(SwitchEvent(item_id, seq, direction, 1))
+            _bump(self._f_pos if dirty else self._f_neg, 0)
+        elif latest >= 0:
+            e = self._events[latest]
+            self._events[latest] = SwitchEvent(
+                e.item_id, e.seq, e.direction, e.multiplicity + 1
             )
-            self._ev_mult.append(1)
-            self._latest[item_id] = len(self._ev_item) - 1
-        elif self._latest[item_id] >= 0:
-            self._ev_mult[self._latest[item_id]] += 1
+            positive = e.direction is Direction.POSITIVE
+            _bump(self._f_pos if positive else self._f_neg, e.multiplicity)
         else:
             self._noops += 1
         return flips
 
     def snapshot(self) -> SwitchStats:
-        events = tuple(
-            SwitchEvent(item_id=i, seq=s, direction=d, multiplicity=m)
-            for i, s, d, m in zip(self._ev_item, self._ev_seq, self._ev_dir, self._ev_mult)
-        )
         return SwitchStats(
-            events=events,
-            c_switch=len(events),
-            f_prime=dict(Counter(self._ev_mult)),
+            events=tuple(self._events),
+            c_switch=len(self._events),
+            f_pos=dict(self._f_pos),
+            f_neg=dict(self._f_neg),
             n_switch=self._total_votes - self._noops,
         )
 
@@ -173,11 +203,11 @@ def switch_fstats(stats: SwitchStats, direction: Direction | None = None) -> FSt
     whichever way it last flipped.
     """
     if direction is None:
-        freq = dict(stats.f_prime)
+        freq = stats.f_prime
+    elif direction is Direction.POSITIVE:
+        freq = stats.f_pos
     else:
-        freq = dict(
-            Counter(e.multiplicity for e in stats.events if e.direction is direction)
-        )
+        freq = stats.f_neg
     return FStatistics(freq=freq, n=stats.n_switch, c=sum(freq.values()))
 
 

@@ -87,6 +87,9 @@ def evaluate_trajectory(
     truth: GroundTruth | None = None,
 ) -> list[TrajectoryRow]:
     """Replay the log and emit one TrajectoryRow per completed task."""
+    for name, value in (("shift", shift), ("trend_window", trend_window)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     n = log.item_count
     replay = SwitchReplay(n)
     tally_state = TallyState(replay.pos, replay.neg)  # live view of the replay's counts

@@ -6,7 +6,11 @@ distance) so they stay independent of the implementation paths they
 check.
 """
 
-from errest.core import Label, Vote, VoteLog
+from collections import Counter
+
+from hypothesis import strategies as st
+
+from errest.core import FStatistics, Label, Vote, VoteLog
 
 D, C = Label.DIRTY, Label.CLEAN
 
@@ -45,6 +49,22 @@ def random_log(rng, max_items=8, max_votes_per_item=8, p_dirty=0.5):
         for item in slots
     ]
     return make_log(tasks, item_count=n_items)
+
+
+@st.composite
+def vote_logs(draw, max_items=6, max_tasks=12, max_task_size=3):
+    """Hypothesis strategy: a well-formed log of tasks of distinct items."""
+    n_items = draw(st.integers(1, max_items))
+    vote = st.tuples(st.integers(0, n_items - 1), st.sampled_from([D, C]))
+    task = st.lists(vote, min_size=1, max_size=max_task_size, unique_by=lambda v: v[0])
+    return make_log(draw(st.lists(task, max_size=max_tasks)), item_count=n_items)
+
+
+def counter_fstats(t):
+    """Discovery fingerprint of a tally, counted one item at a time."""
+    counts = t.pos[t.pos > 0]
+    freq = Counter(int(x) for x in counts)
+    return FStatistics(freq=freq, n=int(t.pos.sum()), c=int(len(counts)))
 
 
 def brute_force_tally(log, upto):

@@ -82,6 +82,18 @@ class TestEstimate:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [("--permutations", "0", ">= 1"), ("--seed", "-1", ">= 0")],
+    )
+    def test_out_of_range_integer_flag_exit_2(self, tmp_path, capsys, flag, value, bound):
+        scenario = scenario_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(scenario), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be {bound}" in err
+
     def test_deterministic_output(self, tmp_path):
         scenario = scenario_file(tmp_path)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -6,13 +7,24 @@ from errest.core import (
     MalformedInputError,
     Vote,
     VoteLog,
+    TallyState,
     error_fstats,
+    fstats_from_tally,
     read_votes_csv,
     tally,
     write_votes_csv,
 )
 
-from helpers import C, D, brute_force_tally, make_log, random_log, single_item_log
+from helpers import (
+    C,
+    D,
+    brute_force_tally,
+    counter_fstats,
+    make_log,
+    random_log,
+    single_item_log,
+    vote_logs,
+)
 
 
 class TestTally:
@@ -99,6 +111,24 @@ class TestErrorFStats:
             item_count=log.item_count,
         )
         assert error_fstats(shuffled) == full
+
+
+class TestFStatsFromTally:
+    """The vectorised fingerprint equals the per-item Counter oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), max_size=30))
+    def test_matches_counter_on_any_tally(self, pos):
+        pos = np.array(pos, dtype=np.int64)
+        t = TallyState(pos, np.zeros_like(pos))
+        assert fstats_from_tally(t) == counter_fstats(t)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vote_logs())
+    def test_matches_counter_at_every_prefix(self, log):
+        for upto in range(len(log) + 1):
+            t = tally(log, upto)
+            assert fstats_from_tally(t) == counter_fstats(t)
 
 
 class TestVoteLogValidation:

@@ -1,3 +1,6 @@
+from collections import Counter
+
+from hypothesis import given, settings
 import numpy as np
 import pytest
 
@@ -18,7 +21,16 @@ from errest.switch import (
     switch_total_errors,
 )
 
-from helpers import C, D, consensus_oracle, eq7_switch_count, make_log, random_log, single_item_log
+from helpers import (
+    C,
+    D,
+    consensus_oracle,
+    eq7_switch_count,
+    make_log,
+    random_log,
+    single_item_log,
+    vote_logs,
+)
 
 
 def confirming_label(replay, item):
@@ -145,6 +157,36 @@ class TestSwitchFStats:
             assert f.n == sum(j * fj for j, fj in f.freq.items())
 
 
+class TestIncrementalFingerprints:
+    """Fingerprints kept vote by vote equal a recount at every prefix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(vote_logs())
+    def test_snapshot_equals_recount_at_every_prefix(self, log):
+        replay = SwitchReplay(log.item_count)
+        for upto in range(len(log) + 1):
+            if upto:
+                v = log.votes[upto - 1]
+                replay.apply(v.item_id, v.label, v.seq)
+            stats = replay.snapshot()
+            oracle_events, _, n_switch = consensus_oracle(log, upto)
+            for direction, positive in ((Direction.POSITIVE, True), (Direction.NEGATIVE, False)):
+                recount = Counter(
+                    e.multiplicity for e in stats.events if e.direction is direction
+                )
+                expected = Counter(m for _, p, m in oracle_events if p is positive)
+                assert recount == expected
+                assert (stats.f_pos if positive else stats.f_neg) == expected
+                f = switch_fstats(stats, direction)
+                assert f.freq == expected and f.n == n_switch
+            expected = Counter(m for _, _, m in oracle_events)
+            assert Counter(e.multiplicity for e in stats.events) == expected
+            assert stats.f_prime == expected
+            assert switch_fstats(stats).freq == expected
+            assert stats.c_switch == len(stats.events) == len(oracle_events)
+            assert stats.n_switch == n_switch
+
+
 class TestDSwitch:
     def test_hand_arithmetic(self):
         f = FStatistics(freq={1: 1, 3: 1}, n=4, c=2)
@@ -206,11 +248,16 @@ def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
     for m in mults_neg:
         events.append(SwitchEvent(len(events), seq, Direction.NEGATIVE, m))
         seq += 1
-    freq = {}
+    freqs = {Direction.POSITIVE: {}, Direction.NEGATIVE: {}}
     for e in events:
+        freq = freqs[e.direction]
         freq[e.multiplicity] = freq.get(e.multiplicity, 0) + 1
     return SwitchStats(
-        events=tuple(events), c_switch=len(events), f_prime=freq, n_switch=n_switch
+        events=tuple(events),
+        c_switch=len(events),
+        f_pos=freqs[Direction.POSITIVE],
+        f_neg=freqs[Direction.NEGATIVE],
+        n_switch=n_switch,
     )
 
 
