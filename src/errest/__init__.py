@@ -7,10 +7,8 @@ a CLI for estimator comparisons.
 
 from .core import (
     FStatistics,
-    Label,
     MalformedInputError,
     TallyState,
-    Vote,
     VoteLog,
     error_fstats,
     read_votes_csv,

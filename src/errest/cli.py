@@ -197,6 +197,14 @@ def positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def unit_float(text: str) -> float:
+    """argparse type of the fraction flags; argparse names the flag on error."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="errest",
@@ -221,14 +229,14 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--truth-out", help="also export the true-dirty item ids")
     simp.add_argument("--seed", type=non_negative_int)
     simp.add_argument("--permutations", type=positive_int)
-    simp.add_argument("--epsilon", type=float)
+    simp.add_argument("--epsilon", type=unit_float)
     simp.add_argument("--shift", type=non_negative_int, default=DEFAULT_SHIFT)
     simp.add_argument("--trend-window", type=non_negative_int, default=DEFAULT_TREND_WINDOW)
 
     prs = sub.add_parser("pairs", help="expand and score candidate record pairs")
     prs.add_argument("records_csv", help="records (record_id,field1,field2,...)")
-    prs.add_argument("--alpha", type=float, required=True, help="auto-clean below")
-    prs.add_argument("--beta", type=float, required=True, help="auto-dirty above")
+    prs.add_argument("--alpha", type=unit_float, required=True, help="auto-clean below")
+    prs.add_argument("--beta", type=unit_float, required=True, help="auto-dirty above")
     prs.add_argument("--out", default="-")
 
     return parser

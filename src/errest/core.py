@@ -10,15 +10,12 @@ dirty exactly once, exactly twice, ...).
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Label",
-    "Vote",
     "VoteLog",
     "TallyState",
     "FStatistics",
@@ -46,95 +43,74 @@ class MalformedInputError(ValueError):
         super().__init__(message)
 
 
-class Label(Enum):
-    """A worker's verdict on one item. An unseen item simply has no vote."""
-
-    CLEAN = 0
-    DIRTY = 1
-
-
-@dataclass(frozen=True)
-class Vote:
-    """One worker's verdict on one item, with its global arrival index."""
-
-    item_id: int
-    worker_id: str
-    task_id: str
-    label: Label
-    seq: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoteLog:
-    """An ordered vote stream over items [0, item_count).
+    """An ordered vote stream over items [0, item_count), held as columns.
 
-    Votes belonging to one task occupy a contiguous seq range (tasks
-    arrive whole), and a worker votes at most once per item.
+    Vote k is (item_ids[k], dirty[k], worker_ids[k], task_ids[k]); its
+    position k is its arrival index. Votes belonging to one task are
+    contiguous (tasks arrive whole), and a worker votes at most once per
+    item.
     """
 
-    votes: tuple[Vote, ...]
+    item_ids: np.ndarray
+    dirty: np.ndarray
+    worker_ids: tuple[str, ...]
+    task_ids: tuple[str, ...]
     item_count: int
     task_size: int
 
     def __post_init__(self):
+        columns = (self.item_ids, self.dirty, self.worker_ids, self.task_ids)
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError("vote-log columns must have equal length")
         seen_pairs = set()
         seen_tasks = set()
         prev_task = None
-        for idx, v in enumerate(self.votes):
-            if v.seq != idx:
+        # Check the raw ids before the int64 cast, which would overflow on huge ones.
+        rows = zip(np.asarray(self.item_ids).tolist(), self.worker_ids, self.task_ids)
+        for idx, (item_id, worker_id, task_id) in enumerate(rows):
+            if not 0 <= item_id < self.item_count:
                 raise MalformedInputError(
-                    f"vote seq {v.seq} at position {idx}: seq must be the "
-                    "0-based arrival index",
+                    f"item_id {item_id} outside universe [0, {self.item_count})",
                     position=idx,
                 )
-            if not 0 <= v.item_id < self.item_count:
-                raise MalformedInputError(
-                    f"item_id {v.item_id} outside universe [0, {self.item_count})",
-                    position=idx,
-                )
-            pair = (v.item_id, v.worker_id)
+            pair = (item_id, worker_id)
             if pair in seen_pairs:
                 raise MalformedInputError(
-                    f"worker {v.worker_id!r} votes twice on item {v.item_id}",
+                    f"worker {worker_id!r} votes twice on item {item_id}",
                     position=idx,
                 )
             seen_pairs.add(pair)
-            if v.task_id != prev_task:
-                if v.task_id in seen_tasks:
+            if task_id != prev_task:
+                if task_id in seen_tasks:
                     raise MalformedInputError(
-                        f"task {v.task_id!r} is split into non-contiguous blocks",
+                        f"task {task_id!r} is split into non-contiguous blocks",
                         position=idx,
                     )
-                seen_tasks.add(v.task_id)
-                prev_task = v.task_id
+                seen_tasks.add(task_id)
+                prev_task = task_id
+        object.__setattr__(self, "item_ids", np.asarray(self.item_ids, dtype=np.int64))
+        object.__setattr__(self, "dirty", np.asarray(self.dirty, dtype=bool))
 
     def __len__(self) -> int:
-        return len(self.votes)
+        return len(self.item_ids)
 
     @cached_property
     def tasks(self) -> tuple[tuple[str, int, int], ...]:
-        """Task blocks as (task_id, start_seq, end_seq) with end exclusive."""
+        """Task blocks as (task_id, start, end) positions with end exclusive."""
+        ids = self.task_ids
         blocks = []
         start = 0
-        for idx in range(1, len(self.votes) + 1):
-            if idx == len(self.votes) or self.votes[idx].task_id != self.votes[start].task_id:
-                blocks.append((self.votes[start].task_id, start, idx))
+        for idx in range(1, len(ids) + 1):
+            if idx == len(ids) or ids[idx] != ids[start]:
+                blocks.append((ids[start], start, idx))
                 start = idx
         return tuple(blocks)
 
     @property
     def task_count(self) -> int:
         return len(self.tasks)
-
-    @cached_property
-    def _item_arr(self) -> np.ndarray:
-        return np.fromiter((v.item_id for v in self.votes), dtype=np.int64, count=len(self.votes))
-
-    @cached_property
-    def _dirty_arr(self) -> np.ndarray:
-        return np.fromiter(
-            (v.label is Label.DIRTY for v in self.votes), dtype=bool, count=len(self.votes)
-        )
 
 
 @dataclass(eq=False)
@@ -186,8 +162,8 @@ def tally(log: VoteLog, upto_seq: int | None = None) -> TallyState:
     upto = len(log) if upto_seq is None else upto_seq
     if not 0 <= upto <= len(log):
         raise MalformedInputError(f"prefix end {upto} outside [0, {len(log)}]")
-    items = log._item_arr[:upto]
-    dirty = log._dirty_arr[:upto]
+    items = log.item_ids[:upto]
+    dirty = log.dirty[:upto]
     pos = np.bincount(items[dirty], minlength=log.item_count).astype(np.int64)
     neg = np.bincount(items[~dirty], minlength=log.item_count).astype(np.int64)
     return TallyState(pos, neg)
@@ -210,15 +186,13 @@ def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
     return fstats_from_tally(tally(log, upto_seq))
 
 
-def _parse_votes(
-    rows: Iterable[Sequence[str]], first_line: int
-) -> tuple[list[Vote], list[int]]:
-    """Parse vote rows; returns the votes and the source line of each.
+def _parse_votes(rows: Iterable[Sequence[str]], first_line: int) -> tuple[tuple, ...]:
+    """Parse vote rows into columns (item_ids, dirty, worker_ids, task_ids, lines).
 
-    Checks only the row format; VoteLog checks the log contract.
+    lines holds each vote's source line. Checks only the row format;
+    VoteLog checks the log contract.
     """
-    votes = []
-    lines = []
+    parsed = []
     for line, row in enumerate(rows, first_line):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -231,17 +205,8 @@ def _parse_votes(
             raise MalformedInputError(f"item_id {item_s!r} is not an integer", line) from None
         if label_s not in ("0", "1"):
             raise MalformedInputError(f"label {label_s!r} must be 0 or 1", line)
-        votes.append(
-            Vote(
-                item_id=item_id,
-                worker_id=worker_id,
-                task_id=task_id,
-                label=Label.DIRTY if label_s == "1" else Label.CLEAN,
-                seq=len(votes),
-            )
-        )
-        lines.append(line)
-    return votes, lines
+        parsed.append((item_id, label_s == "1", worker_id, task_id, line))
+    return tuple(zip(*parsed)) if parsed else ((),) * 5
 
 
 def read_votes_csv(path, item_count: int) -> VoteLog:
@@ -261,11 +226,11 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
             raise MalformedInputError(
                 f"header must be {','.join(VOTES_CSV_HEADER)}", 1
             )
-        votes, lines = _parse_votes(reader, first_line=2)
-    sizes = Counter(v.task_id for v in votes)
+        item_ids, dirty, worker_ids, task_ids, lines = _parse_votes(reader, first_line=2)
+    sizes = Counter(task_ids)
     task_size = max(sizes.values()) if sizes else 0
     try:
-        return VoteLog(votes=tuple(votes), item_count=item_count, task_size=task_size)
+        return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count, task_size)
     except MalformedInputError as exc:
         raise MalformedInputError(str(exc), lines[exc.position]) from None
 
@@ -274,8 +239,8 @@ def write_votes_csv(log: VoteLog, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VOTES_CSV_HEADER)
-        for v in log.votes:
-            writer.writerow([v.task_id, v.worker_id, v.item_id, v.label.value])
+        labels = log.dirty.astype(int).tolist()
+        writer.writerows(zip(log.task_ids, log.worker_ids, log.item_ids.tolist(), labels))
 
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:

@@ -13,11 +13,13 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Label, TallyState, Vote, VoteLog
+from .core import TallyState, VoteLog
 from .priority import EpsilonPolicy, HeuristicPartition, draw_task, partition
 
 __all__ = [
@@ -63,14 +65,19 @@ class SimScenario:
     prioritize: bool = False
 
     def __post_init__(self):
+        for name, low in (("n_items", 0), ("n_dirty", 0), ("task_size", 1),
+                          ("n_tasks", 0), ("permutations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.n_dirty > self.n_items:
             raise ValueError("n_dirty cannot exceed n_items")
         for name in ("fp_rate", "fn_rate", "epsilon", "heuristic_error"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.task_size < 1 or self.n_tasks < 0 or self.permutations < 1:
-            raise ValueError("task_size >= 1, n_tasks >= 0, permutations >= 1 required")
+            if not isinstance(value, Real) or isinstance(value, bool) or not 0 <= value <= 1:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not isinstance(self.prioritize, bool):
+            raise ValueError(f"prioritize must be true or false, got {self.prioritize!r}")
 
 
 @dataclass(frozen=True)
@@ -129,28 +136,25 @@ def simulate(sc: SimScenario) -> tuple[VoteLog, GroundTruth]:
         policy = EpsilonPolicy(epsilon=sc.epsilon, seed=int(rng.integers(2**32)))
 
     size = min(sc.task_size, sc.n_items)
-    votes = []
+    items = np.empty((sc.n_tasks, size), dtype=np.int64)
+    draws = np.empty((sc.n_tasks, size))  # one uniform per vote, drawn after its task
     for k in range(sc.n_tasks):
         if sc.prioritize:
-            items = draw_task(part, policy, size)
+            items[k] = draw_task(part, policy, size)
         else:
-            items = rng.choice(sc.n_items, size=size, replace=False)
-        for item in items:
-            item = int(item)
-            if truth_mask[item]:
-                is_dirty = rng.random() >= sc.fn_rate
-            else:
-                is_dirty = rng.random() < sc.fp_rate
-            votes.append(
-                Vote(
-                    item_id=item,
-                    worker_id=f"w{k}",
-                    task_id=str(k),
-                    label=Label.DIRTY if is_dirty else Label.CLEAN,
-                    seq=len(votes),
-                )
-            )
-    log = VoteLog(votes=tuple(votes), item_count=sc.n_items, task_size=sc.task_size)
+            items[k] = rng.choice(sc.n_items, size=size, replace=False)
+        draws[k] = rng.random(size)
+    items, draws = items.ravel(), draws.ravel()
+    dirty = np.where(truth_mask[items], draws >= sc.fn_rate, draws < sc.fp_rate)
+    tasks = range(sc.n_tasks)
+    log = VoteLog(
+        item_ids=items,
+        dirty=dirty,
+        worker_ids=tuple(chain.from_iterable([f"w{k}"] * size for k in tasks)),
+        task_ids=tuple(chain.from_iterable([str(k)] * size for k in tasks)),
+        item_count=sc.n_items,
+        task_size=sc.task_size,
+    )
     return log, GroundTruth(dirty_set=frozenset(int(i) for i in dirty_items), n_items=sc.n_items)
 
 
@@ -174,16 +178,19 @@ def scm(sample_size: int, task_size: int) -> int:
 
 
 def permute_tasks(log: VoteLog, order: Sequence[int]) -> VoteLog:
-    """Reorder whole tasks by `order`, renumbering arrival indices."""
+    """Reorder whole tasks by `order`: a gather of the task blocks' positions."""
     blocks = log.tasks
     if sorted(order) != list(range(len(blocks))):
         raise ValueError("order must be a permutation of the task indices")
-    votes = []
-    for b in order:
-        _, start, end = blocks[b]
-        for v in log.votes[start:end]:
-            votes.append(Vote(v.item_id, v.worker_id, v.task_id, v.label, len(votes)))
-    return VoteLog(votes=tuple(votes), item_count=log.item_count, task_size=log.task_size)
+    index = [pos for b in order for pos in range(blocks[b][1], blocks[b][2])]
+    return VoteLog(
+        item_ids=log.item_ids[index],
+        dirty=log.dirty[index],
+        worker_ids=tuple(log.worker_ids[pos] for pos in index),
+        task_ids=tuple(log.task_ids[pos] for pos in index),
+        item_count=log.item_count,
+        task_size=log.task_size,
+    )
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import FStatistics, Label, TallyState, VoteLog
-from .estimators import EstimatorOutput, InsufficientDataError, chao92, majority
+from .core import FStatistics, VoteLog
+from .estimators import EstimatorOutput, InsufficientDataError, chao92
 
 __all__ = [
     "Direction",
@@ -32,7 +32,6 @@ __all__ = [
     "SwitchStats",
     "SwitchReplay",
     "TotalErrorEstimate",
-    "FALLBACK_MAJORITY",
     "replay_switches",
     "switch_count",
     "switch_fstats",
@@ -40,8 +39,6 @@ __all__ = [
     "remaining_switches",
     "switch_total_errors",
 ]
-
-FALLBACK_MAJORITY = "fallback-majority"
 
 
 class Direction(Enum):
@@ -129,23 +126,23 @@ class SwitchReplay:
         self._total_votes = 0
         self._noops = 0
 
-    def apply(self, item_id: int, label: Label, seq: int) -> bool:
+    def apply(self, item_id: int, dirty: bool, seq: int) -> bool:
         """Fold in one vote; returns True when it flips the consensus."""
-        if label is Label.DIRTY:
+        if dirty:
             self._pos[item_id] += 1
         else:
             self._neg[item_id] += 1
         self._total_votes += 1
         pos, neg = self._pos[item_id], self._neg[item_id]
-        flips = (pos + neg == 1 and label is Label.DIRTY) or (pos == neg)
+        flips = (pos + neg == 1 and dirty) or (pos == neg)
         latest = self._latest[item_id]
         if flips:
-            dirty = not self._dirty[item_id]
-            self._dirty[item_id] = dirty
+            now_dirty = not self._dirty[item_id]
+            self._dirty[item_id] = now_dirty
             self._latest[item_id] = len(self._events)
-            direction = Direction.POSITIVE if dirty else Direction.NEGATIVE
+            direction = Direction.POSITIVE if now_dirty else Direction.NEGATIVE
             self._events.append(SwitchEvent(item_id, seq, direction, 1))
-            _bump(self._f_pos if dirty else self._f_neg, 0)
+            _bump(self._f_pos if now_dirty else self._f_neg, 0)
         elif latest >= 0:
             e = self._events[latest]
             self._events[latest] = SwitchEvent(
@@ -185,8 +182,9 @@ def replay_switches(log: VoteLog, upto_seq: int | None = None) -> SwitchStats:
     """Detect all switch events in the prefix votes[0:upto_seq)."""
     upto = len(log) if upto_seq is None else upto_seq
     replay = SwitchReplay(log.item_count)
-    for v in log.votes[:upto]:
-        replay.apply(v.item_id, v.label, v.seq)
+    votes = zip(log.item_ids[:upto].tolist(), log.dirty[:upto].tolist())
+    for seq, (item_id, dirty) in enumerate(votes):
+        replay.apply(item_id, dirty, seq)
     return replay.snapshot()
 
 
@@ -243,29 +241,19 @@ def remaining_switches(
 
 
 def switch_total_errors(
-    t: TallyState, stats: SwitchStats, trend: Trend
-) -> TotalErrorEstimate:
-    """Adjust the strict-majority count by the expected remaining flips.
+    m: int, xi_pos: float, xi_neg: float, trend: Trend, universe: int
+) -> float:
+    """Adjust the strict-majority count m by the expected remaining flips.
 
-    A rising majority count means undiscovered errors dominate, so only
-    the positive-flip estimate is added; a falling one subtracts the
-    negative-flip estimate; a flat majority applies both. If a needed
-    one-sided estimate is unavailable the majority count stands, flagged
-    FALLBACK_MAJORITY. The result is clamped to [0, item_count].
+    xi_pos and xi_neg are the one-sided remaining_switches figures. A
+    rising majority count means undiscovered errors dominate, so only
+    xi_pos is added; a falling one subtracts xi_neg; a flat majority
+    applies both. The result is clamped to [0, universe].
     """
-    m = majority(t)
-    universe = t.item_count
-    try:
-        if trend is Trend.INCREASING:
-            value = m + remaining_switches(stats, Direction.POSITIVE, universe).value
-        elif trend is Trend.DECREASING:
-            value = m - remaining_switches(stats, Direction.NEGATIVE, universe).value
-        else:
-            value = (
-                m
-                + remaining_switches(stats, Direction.POSITIVE, universe).value
-                - remaining_switches(stats, Direction.NEGATIVE, universe).value
-            )
-    except InsufficientDataError:
-        return TotalErrorEstimate(float(m), flags=(FALLBACK_MAJORITY,))
-    return TotalErrorEstimate(min(max(value, 0.0), float(universe)))
+    if trend is Trend.INCREASING:
+        value = m + xi_pos
+    elif trend is Trend.DECREASING:
+        value = m - xi_neg
+    else:
+        value = m + xi_pos - xi_neg
+    return min(max(value, 0.0), float(universe))

@@ -95,9 +95,11 @@ def evaluate_trajectory(
     tally_state = TallyState(replay.pos, replay.neg)  # live view of the replay's counts
     majority_history: list[int] = []
     rows = []
+    item_ids = log.item_ids.tolist()
+    dirty = log.dirty.tolist()
     for task_index, (_, start, end) in enumerate(log.tasks):
-        for v in log.votes[start:end]:
-            replay.apply(v.item_id, v.label, v.seq)
+        for seq in range(start, end):
+            replay.apply(item_ids[seq], dirty[seq], seq)
         flags: list[str] = []
 
         m = majority(tally_state)
@@ -123,9 +125,7 @@ def evaluate_trajectory(
         for column, remaining in (("xi_pos", xi_pos), ("xi_neg", xi_neg)):
             flags.extend(f"{column}:{marker}" for marker in remaining.flags)
         trend = trend_from_history(majority_history, trend_window)
-        total = switch_total_errors(tally_state, stats, trend)
-        for marker in total.flags:
-            flags.append(f"switch_total:{marker}")
+        total = switch_total_errors(m, xi_pos.value, xi_neg.value, trend, n)
 
         truth_count = truth_xi_pos = truth_xi_neg = None
         if truth is not None:
@@ -139,7 +139,7 @@ def evaluate_trajectory(
                 majority=m,
                 chao92_total=chao.total_errors_hat,
                 vchao92_total=vchao_total,
-                switch_total=total.value,
+                switch_total=total,
                 xi_pos=xi_pos.value,
                 xi_neg=xi_neg.value,
                 coverage_hat=chao.coverage_hat,

@@ -10,27 +10,24 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from errest.core import FStatistics, Label, Vote, VoteLog
+from errest.core import FStatistics, VoteLog
 
-D, C = Label.DIRTY, Label.CLEAN
+D, C = True, False  # a vote's `dirty` value
 
 
 def make_log(task_votes, item_count, task_size=None):
-    """Build a VoteLog from [[(item, label), ...] per task]."""
-    votes = []
-    for k, task in enumerate(task_votes):
-        for item, label in task:
-            votes.append(
-                Vote(
-                    item_id=item,
-                    worker_id=f"w{k}",
-                    task_id=str(k),
-                    label=label,
-                    seq=len(votes),
-                )
-            )
+    """Build a VoteLog from [[(item, dirty), ...] per task]."""
+    votes = [
+        (item, dirty, f"w{k}", str(k)) for k, task in enumerate(task_votes) for item, dirty in task
+    ]
+    item_ids, dirty, worker_ids, task_ids = zip(*votes) if votes else ((),) * 4
     size = task_size if task_size is not None else max((len(t) for t in task_votes), default=0)
-    return VoteLog(votes=tuple(votes), item_count=item_count, task_size=size)
+    return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count, size)
+
+
+def log_votes(log, upto=None):
+    """The (item_id, dirty) pairs of the prefix [0:upto), as Python values."""
+    return list(zip(log.item_ids[:upto].tolist(), log.dirty[:upto].tolist()))
 
 
 def single_item_log(labels, item_count=1, item=0):
@@ -70,8 +67,8 @@ def counter_fstats(t):
 def brute_force_tally(log, upto):
     """Naive re-scan of the prefix: dict item -> [pos, neg]."""
     counts = {i: [0, 0] for i in range(log.item_count)}
-    for v in log.votes[:upto]:
-        counts[v.item_id][0 if v.label is D else 1] += 1
+    for item, dirty in log_votes(log, upto):
+        counts[item][0 if dirty else 1] += 1
     return counts
 
 
@@ -79,8 +76,8 @@ def eq7_switch_count(log, upto=None):
     """Direct evaluation of the tie-plus-first-positive double sum."""
     upto = len(log) if upto is None else upto
     per_item = {}
-    for v in log.votes[:upto]:
-        per_item.setdefault(v.item_id, []).append(v.label is D)
+    for item, dirty in log_votes(log, upto):
+        per_item.setdefault(item, []).append(dirty)
     total = 0
     for labels in per_item.values():
         pos = neg = 0
@@ -110,17 +107,16 @@ def consensus_oracle(log, upto=None):
     latest = {}
     noops = 0
     total = 0
-    for v in log.votes[:upto]:
-        i = v.item_id
+    for i, dirty in log_votes(log, upto):
         pos.setdefault(i, 0)
         neg.setdefault(i, 0)
         label.setdefault(i, False)
-        if v.label is D:
+        if dirty:
             pos[i] += 1
         else:
             neg[i] += 1
         total += 1
-        first_dirty = pos[i] + neg[i] == 1 and v.label is D
+        first_dirty = pos[i] + neg[i] == 1 and dirty
         tie = pos[i] == neg[i] and pos[i] > 0
         if first_dirty or tie:
             label[i] = not label[i]

@@ -28,7 +28,7 @@ from errest.sim import SimScenario, simulate, srmse
 from errest.switch import Direction, SwitchReplay, d_switch, replay_switches, switch_fstats
 from errest.trajectory import evaluate_trajectory
 
-from helpers import C, D, consensus_oracle, eq7_switch_count, make_log, random_log
+from helpers import C, D, consensus_oracle, eq7_switch_count, log_votes, make_log, random_log
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,10 +158,9 @@ def test_criterion_6_convergence():
     for trial in range(100):
         log = random_log(rng, max_items=8, max_votes_per_item=8)
         replay = SwitchReplay(log.item_count)
-        seq = 0
-        for v in log.votes:
-            replay.apply(v.item_id, v.label, v.seq)
-            seq = v.seq + 1
+        for seq, (item, dirty) in enumerate(log_votes(log)):
+            replay.apply(item, dirty, seq)
+        seq = len(log)
 
         def xi_all():
             stats = replay.snapshot()

@@ -25,6 +25,29 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--epsilon", "1.5"),
+        ("simulate", "--epsilon", "nan"),
+        ("pairs", "--alpha", "-0.1"),
+        ("pairs", "--alpha", "nan"),
+        ("pairs", "--beta", "1.5"),
+    ],
+)
+def test_out_of_range_unit_float_flag_exit_2(tmp_path, capsys, command, flag, value):
+    if command == "simulate":
+        argv = ["simulate", str(scenario_file(tmp_path))]
+    else:
+        records = tmp_path / "records.csv"
+        records.write_text("record_id,name\na,x\n")
+        argv = ["pairs", str(records), "--alpha", "0.1", "--beta", "0.9"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be in [0, 1]" in capsys.readouterr().err
+
+
 class TestEstimate:
     def test_golden_trajectory(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -93,6 +116,29 @@ class TestSimulate:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be {bound}" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_items", 100.5),
+            ("n_dirty", -1),
+            ("task_size", 5.0),
+            ("n_tasks", 3.0),
+            ("fp_rate", False),
+            ("fn_rate", True),
+            ("epsilon", "0.1"),
+            ("heuristic_error", None),
+            ("permutations", 2.5),
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", -4),
+            ("prioritize", "yes"),
+        ],
+    )
+    def test_malformed_scenario_value_named_exit_2(self, tmp_path, capsys, key, value):
+        scenario = scenario_file(tmp_path, **{key: value})
+        assert main(["simulate", str(scenario)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         scenario = scenario_file(tmp_path)

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -5,7 +8,6 @@ import pytest
 from errest.core import (
     FStatistics,
     MalformedInputError,
-    Vote,
     VoteLog,
     TallyState,
     error_fstats,
@@ -20,6 +22,7 @@ from helpers import (
     D,
     brute_force_tally,
     counter_fstats,
+    log_votes,
     make_log,
     random_log,
     single_item_log,
@@ -106,10 +109,8 @@ class TestErrorFStats:
         log = random_log(rng, max_items=6)
         full = error_fstats(log)
         order = rng.permutation(len(log))
-        shuffled = make_log(
-            [[(log.votes[i].item_id, log.votes[i].label)] for i in order],
-            item_count=log.item_count,
-        )
+        votes = log_votes(log)
+        shuffled = make_log([[votes[i]] for i in order], item_count=log.item_count)
         assert error_fstats(shuffled) == full
 
 
@@ -133,29 +134,23 @@ class TestFStatsFromTally:
 
 class TestVoteLogValidation:
     def test_duplicate_worker_item_rejected(self):
-        votes = (
-            Vote(0, "w0", "t0", D, 0),
-            Vote(0, "w0", "t0", C, 1),
-        )
         with pytest.raises(MalformedInputError, match="votes twice"):
-            VoteLog(votes, item_count=1, task_size=2)
+            VoteLog([0, 0], [D, C], ("w0", "w0"), ("t0", "t0"), item_count=1, task_size=2)
 
     def test_split_task_rejected(self):
-        votes = (
-            Vote(0, "w0", "t0", D, 0),
-            Vote(1, "w1", "t1", D, 1),
-            Vote(1, "w2", "t0", D, 2),
-        )
         with pytest.raises(MalformedInputError, match="non-contiguous"):
-            VoteLog(votes, item_count=2, task_size=1)
+            VoteLog(
+                [0, 1, 1], [D, D, D], ("w0", "w1", "w2"), ("t0", "t1", "t0"),
+                item_count=2, task_size=1,
+            )
 
     def test_item_out_of_universe_rejected(self):
         with pytest.raises(MalformedInputError, match="universe"):
-            VoteLog((Vote(5, "w0", "t0", D, 0),), item_count=3, task_size=1)
+            VoteLog([5], [D], ("w0",), ("t0",), item_count=3, task_size=1)
 
-    def test_seq_must_be_arrival_index(self):
-        with pytest.raises(MalformedInputError, match="seq"):
-            VoteLog((Vote(0, "w0", "t0", D, 3),), item_count=1, task_size=1)
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            VoteLog([0, 1], [D], ("w0", "w0"), ("t0", "t0"), item_count=2, task_size=2)
 
     def test_task_blocks(self):
         log = make_log([[(0, D), (1, C)], [(2, D)]], item_count=3)
@@ -177,6 +172,13 @@ class TestFStatisticsType:
             FStatistics(freq={0: 1}, n=0, c=1)
 
 
+def assert_same_columns(a, b):
+    assert a.item_ids.tolist() == b.item_ids.tolist()
+    assert a.dirty.tolist() == b.dirty.tolist()
+    assert a.worker_ids == b.worker_ids and a.task_ids == b.task_ids
+    assert (a.item_count, a.task_size) == (b.item_count, b.task_size)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -190,9 +192,37 @@ class TestCsv:
         path = tmp_path / "votes.csv"
         write_votes_csv(log, path)
         back = read_votes_csv(path, item_count=5)
-        assert [(v.item_id, v.label, v.task_id) for v in back.votes] == [
-            (v.item_id, v.label, v.task_id) for v in log.votes
-        ]
+        assert_same_columns(back, log)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vote_logs())
+    def test_round_trip_any_log(self, log):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "votes.csv"
+            write_votes_csv(log, path)
+            assert_same_columns(read_votes_csv(path, item_count=log.item_count), log)
+
+    def test_earliest_violation_reported(self, tmp_path):
+        # vote 1 repeats a worker-item pair, vote 2 leaves the universe and
+        # vote 3 splits task t0: the log and the CSV reader both report vote 1
+        rows = [("t0", "w0", 0, 1), ("t0", "w0", 0, 0), ("t1", "w1", 9, 1), ("t0", "w2", 1, 1)]
+        task_ids, worker_ids, item_ids, labels = zip(*rows)
+        with pytest.raises(MalformedInputError, match="votes twice") as exc:
+            VoteLog(item_ids, [x == 1 for x in labels], worker_ids, task_ids, 3, 2)
+        assert exc.value.position == 1
+        path = tmp_path / "votes.csv"
+        lines = ["task_id,worker_id,item_id,label", ""] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedInputError, match="line 4.*twice") as exc:
+            read_votes_csv(path, item_count=3)
+        assert exc.value.line == 4
+
+    def test_huge_item_id_reports_line(self, tmp_path):
+        path = tmp_path / "votes.csv"
+        huge = 10**22  # beyond int64
+        path.write_text(f"task_id,worker_id,item_id,label\n0,w0,0,1\n0,w0,{huge},1\n")
+        with pytest.raises(MalformedInputError, match="line 3.*universe"):
+            read_votes_csv(path, item_count=3)
 
     def test_bad_label_reports_line(self, tmp_path):
         path = tmp_path / "votes.csv"

@@ -1,10 +1,11 @@
 import json
 from dataclasses import replace
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from errest.core import Label, fstats_from_tally, tally
+from errest.core import fstats_from_tally, tally
 from errest.estimators import chao92, majority, nominal
 from errest.sim import (
     GroundTruth,
@@ -17,6 +18,8 @@ from errest.sim import (
     srmse,
 )
 from errest.trajectory import evaluate_trajectory
+
+from helpers import log_votes, vote_logs
 
 
 def small_scenario(**kw):
@@ -33,25 +36,22 @@ class TestSimulate:
         log_a, truth_a = simulate(sc)
         log_b, truth_b = simulate(sc)
         assert truth_a.dirty_set == truth_b.dirty_set
-        assert [(v.item_id, v.label, v.task_id) for v in log_a.votes] == [
-            (v.item_id, v.label, v.task_id) for v in log_b.votes
-        ]
+        assert log_a.item_ids.tolist() == log_b.item_ids.tolist()
+        assert log_a.dirty.tolist() == log_b.dirty.tolist()
+        assert log_a.task_ids == log_b.task_ids
 
     def test_different_seeds_differ(self):
         log_a, _ = simulate(small_scenario(seed=1))
         log_b, _ = simulate(small_scenario(seed=2))
-        assert [(v.item_id, v.label) for v in log_a.votes] != [
-            (v.item_id, v.label) for v in log_b.votes
-        ]
+        assert log_votes(log_a) != log_votes(log_b)
 
     def test_perfect_workers_vote_the_truth(self):
         sc = small_scenario(fn_rate=0.0, fp_rate=0.0)
         log, truth = simulate(sc)
         dirty = truth.dirty_mask()
-        for v in log.votes:
-            assert (v.label is Label.DIRTY) == bool(dirty[v.item_id])
+        assert (log.dirty == dirty[log.item_ids]).all()
         t = tally(log)
-        seen_dirty = {v.item_id for v in log.votes if dirty[v.item_id]}
+        seen_dirty = {item for item in log.item_ids.tolist() if dirty[item]}
         assert majority(t) == len(seen_dirty) == nominal(t)
 
     def test_flip_rate_calibration(self):
@@ -64,13 +64,13 @@ class TestSimulate:
         assert len(log) >= 100_000
         dirty = truth.dirty_mask()
         n_d = flips_d = n_c = flips_c = 0
-        for v in log.votes:
-            if dirty[v.item_id]:
+        for item, vote_dirty in log_votes(log):
+            if dirty[item]:
                 n_d += 1
-                flips_d += v.label is Label.CLEAN
+                flips_d += not vote_dirty
             else:
                 n_c += 1
-                flips_c += v.label is Label.DIRTY
+                flips_c += vote_dirty
         for flips, n, rate in ((flips_d, n_d, 0.1), (flips_c, n_c, 0.01)):
             sigma = np.sqrt(n * rate * (1 - rate))
             assert abs(flips - n * rate) <= 3 * sigma
@@ -80,7 +80,7 @@ class TestSimulate:
         log, _ = simulate(sc)
         assert log.task_count == sc.n_tasks
         for _, start, end in log.tasks:
-            items = [v.item_id for v in log.votes[start:end]]
+            items = log.item_ids[start:end].tolist()
             assert len(items) == sc.task_size
             assert len(set(items)) == len(items)
 
@@ -89,7 +89,7 @@ class TestSimulate:
         log, truth = simulate(sc)
         dirty = truth.dirty_mask()
         # perfect heuristic puts exactly the dirty items in the band
-        assert all(dirty[v.item_id] for v in log.votes)
+        assert dirty[log.item_ids].all()
 
     def test_task_size_capped_at_pool(self):
         sc = SimScenario(n_items=3, n_dirty=1, task_size=10, n_tasks=4, seed=0)
@@ -152,6 +152,14 @@ class TestScm:
             scm(10, 0)
 
 
+def assert_blocks_kept(log, permuted):
+    """Every task block of `permuted` holds the same votes as in `log`."""
+    votes, permuted_votes = log_votes(log), log_votes(permuted)
+    original = {tid: (votes[s:e], log.worker_ids[s:e]) for tid, s, e in log.tasks}
+    for tid, s, e in permuted.tasks:
+        assert (permuted_votes[s:e], permuted.worker_ids[s:e]) == original[tid]
+
+
 class TestPermuteAndAverage:
     def nominal_trajectory(self, log):
         rows = evaluate_trajectory(log)
@@ -188,11 +196,18 @@ class TestPermuteAndAverage:
         log, _ = simulate(small_scenario(n_tasks=6))
         permuted = permute_tasks(log, [5, 4, 3, 2, 1, 0])
         assert permuted.task_count == 6
-        original_blocks = {
-            tid: [(v.item_id, v.label) for v in log.votes[s:e]] for tid, s, e in log.tasks
-        }
-        for tid, s, e in permuted.tasks:
-            assert [(v.item_id, v.label) for v in permuted.votes[s:e]] == original_blocks[tid]
+        assert_blocks_kept(log, permuted)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_permutation_keeps_blocks_and_totals(self, data):
+        log = data.draw(vote_logs())
+        order = data.draw(st.permutations(range(log.task_count)))
+        permuted = permute_tasks(log, order)
+        assert [tid for tid, _, _ in permuted.tasks] == [log.tasks[b][0] for b in order]
+        assert_blocks_kept(log, permuted)
+        t, t_permuted = tally(log), tally(permuted)
+        assert (t.pos == t_permuted.pos).all() and (t.neg == t_permuted.neg).all()
 
     def test_full_log_statistics_order_free(self):
         log, _ = simulate(small_scenario(n_tasks=8))

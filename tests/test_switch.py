@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from errest.core import FStatistics, TallyState
-from errest.estimators import InsufficientDataError, LOW_COVERAGE
+from errest.estimators import InsufficientDataError, LOW_COVERAGE, majority
 from errest.switch import (
     Direction,
-    FALLBACK_MAJORITY,
     SwitchEvent,
     SwitchReplay,
     SwitchStats,
@@ -26,6 +25,7 @@ from helpers import (
     D,
     consensus_oracle,
     eq7_switch_count,
+    log_votes,
     make_log,
     random_log,
     single_item_log,
@@ -70,8 +70,8 @@ class TestReplayExamples:
         stats = replay_switches(log)
         assert switch_count(stats) == 2
         replay = SwitchReplay(1)
-        for v in log.votes:
-            replay.apply(v.item_id, v.label, v.seq)
+        for seq, (item, dirty) in enumerate(log_votes(log)):
+            replay.apply(item, dirty, seq)
         assert not replay.consensus_dirty[0]
 
     def test_prefix_argument(self):
@@ -164,10 +164,10 @@ class TestIncrementalFingerprints:
     @given(vote_logs())
     def test_snapshot_equals_recount_at_every_prefix(self, log):
         replay = SwitchReplay(log.item_count)
+        votes = log_votes(log)
         for upto in range(len(log) + 1):
             if upto:
-                v = log.votes[upto - 1]
-                replay.apply(v.item_id, v.label, v.seq)
+                replay.apply(*votes[upto - 1], upto - 1)
             stats = replay.snapshot()
             oracle_events, _, n_switch = consensus_oracle(log, upto)
             for direction, positive in ((Direction.POSITIVE, True), (Direction.NEGATIVE, False)):
@@ -262,39 +262,35 @@ def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
 
 
 class TestSwitchTotalErrors:
-    def tally(self, pos, neg):
-        return TallyState(np.array(pos, dtype=np.int64), np.array(neg, dtype=np.int64))
+    def total(self, pos, neg, stats, trend):
+        """switch_total_errors fed the way evaluate_trajectory feeds it."""
+        t = TallyState(np.array(pos, dtype=np.int64), np.array(neg, dtype=np.int64))
+        n = t.item_count
+        xi_pos = remaining_switches(stats, Direction.POSITIVE, n).value
+        xi_neg = remaining_switches(stats, Direction.NEGATIVE, n).value
+        return switch_total_errors(majority(t), xi_pos, xi_neg, trend, n)
 
     def test_no_remaining_switches_any_trend(self):
         # doubleton-only events: both one-sided estimates are exactly c
-        t = self.tally([1, 1, 0, 0], [0, 0, 1, 0])
         stats = synthetic_stats(mults_pos=(2,), mults_neg=(2,), n_switch=4)
         for trend in Trend:
-            assert switch_total_errors(t, stats, trend).value == 2.0
+            assert self.total([1, 1, 0, 0], [0, 0, 1, 0], stats, trend) == 2.0
 
     def test_increasing_adds_positive_estimate(self):
-        t = self.tally([1] * 5 + [0] * 5, [0] * 10)  # majority 5
         stats = synthetic_stats(mults_pos=(1, 3), n_switch=4)  # xi+ = 28/9 - 2
-        out = switch_total_errors(t, stats, Trend.INCREASING)
-        assert out.value == pytest.approx(5 + 28 / 9 - 2, rel=1e-9)
+        out = self.total([1] * 5 + [0] * 5, [0] * 10, stats, Trend.INCREASING)  # majority 5
+        assert out == pytest.approx(5 + 28 / 9 - 2, rel=1e-9)
 
     def test_decreasing_subtracts_negative_estimate(self):
-        t = self.tally([1] * 10, [0] * 10)
         stats = synthetic_stats(mults_neg=(1, 3), n_switch=4)
-        out = switch_total_errors(t, stats, Trend.DECREASING)
-        assert out.value == pytest.approx(10 - (28 / 9 - 2), rel=1e-9)
+        out = self.total([1] * 10, [0] * 10, stats, Trend.DECREASING)
+        assert out == pytest.approx(10 - (28 / 9 - 2), rel=1e-9)
 
     def test_result_clamped_to_universe(self):
-        t = self.tally([1, 1], [0, 0])
         stats = synthetic_stats(mults_pos=(1, 1, 1), n_switch=3)  # zero coverage
-        out = switch_total_errors(t, stats, Trend.INCREASING)
-        assert out.value <= 2.0
-
-    def test_insufficient_side_falls_back_to_majority(self):
-        t = self.tally([1, 0], [0, 1])
-        broken = synthetic_stats(mults_pos=(1,), n_switch=0)  # events but no sample
-        out = switch_total_errors(t, broken, Trend.INCREASING)
-        assert out.value == 1.0 and FALLBACK_MAJORITY in out.flags
+        assert self.total([1, 1], [0, 0], stats, Trend.INCREASING) <= 2.0
+        assert switch_total_errors(2, 5.0, 0.0, Trend.INCREASING, 2) == 2.0
+        assert switch_total_errors(2, 0.0, 5.0, Trend.DECREASING, 2) == 0.0
 
 
 class TestConvergenceMechanics:
@@ -312,11 +308,9 @@ class TestConvergenceMechanics:
         for _ in range(50):
             log = random_log(rng)
             replay = SwitchReplay(log.item_count)
-            seq = 0
-            for v in log.votes:
-                replay.apply(v.item_id, v.label, v.seq)
-                seq = v.seq + 1
-            seq = self.append_confirming_round(replay, seq)
+            for seq, (item, dirty) in enumerate(log_votes(log)):
+                replay.apply(item, dirty, seq)
+            seq = self.append_confirming_round(replay, len(log))
             latest = {}
             for e in replay.snapshot().events:
                 latest[e.item_id] = e
@@ -327,10 +321,9 @@ class TestConvergenceMechanics:
         for _ in range(30):
             log = random_log(rng)
             replay = SwitchReplay(log.item_count)
-            seq = 0
-            for v in log.votes:
-                replay.apply(v.item_id, v.label, v.seq)
-                seq = v.seq + 1
+            for seq, (item, dirty) in enumerate(log_votes(log)):
+                replay.apply(item, dirty, seq)
+            seq = len(log)
             prev = None
             for _ in range(10):
                 seq = self.append_confirming_round(replay, seq)

@@ -39,3 +39,13 @@ class TestIncrementalReplay:
             dirty = truth.dirty_mask()
             assert row.truth_xi_pos == int((dirty & ~consensus).sum())
             assert row.truth_xi_neg == int((~dirty & consensus).sum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(vote_logs())
+    def test_row_invariants(self, log):
+        n = log.item_count
+        for row in evaluate_trajectory(log):
+            assert row.chao92_total >= row.nominal
+            assert 0.0 <= row.coverage_hat <= 1.0
+            assert 0.0 <= row.switch_total <= n
+            assert row.xi_pos >= 0.0 and row.xi_neg >= 0.0
