@@ -58,27 +58,43 @@ class CandidatePair:
 
 
 def read_records_csv(path) -> RecordTable:
-    """Load records from CSV with header record_id,field1,field2,..."""
+    """Load records from CSV with header record_id,field1,field2,...
+
+    Every row has the header's column count and a non-empty, unique
+    record_id. Errors name the line on which the offending record starts,
+    which a quoted field may carry over several lines.
+    """
     ids = []
     fields = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
+        next_line = 1  # where the record the reader reads next starts
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInputError("missing header row", 1) from None
-        if not header or header[0].strip() != "record_id":
-            raise MalformedInputError("first column must be record_id", 1)
-        seen = set()
-        for line_no, row in enumerate(reader, 2):
-            if not row:
-                continue
-            rid = row[0].strip()
-            if rid in seen:
-                raise MalformedInputError(f"duplicate record_id {rid!r}", line_no)
-            seen.add(rid)
-            ids.append(rid)
-            fields.append(tuple(row[1:]))
+            header = next(reader, None)
+            if header is None:
+                raise MalformedInputError("missing header row", 1)
+            if not header or header[0].strip() != "record_id":
+                raise MalformedInputError("first column must be record_id", 1)
+            seen = set()
+            next_line = reader.line_num + 1
+            for row in reader:
+                line, next_line = next_line, reader.line_num + 1
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise MalformedInputError(
+                        f"expected {len(header)} columns, got {len(row)}", line
+                    )
+                rid = row[0].strip()
+                if not rid:
+                    raise MalformedInputError("empty record_id", line)
+                if rid in seen:
+                    raise MalformedInputError(f"duplicate record_id {rid!r}", line)
+                seen.add(rid)
+                ids.append(rid)
+                fields.append(tuple(row[1:]))
+        except csv.Error as exc:
+            raise MalformedInputError(str(exc), next_line) from None
     return RecordTable(ids=tuple(ids), fields=tuple(fields))
 
 
@@ -94,18 +110,40 @@ def normalize_fields(fields: Sequence[str], sep: str = " ") -> str:
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance via the classic two-row dynamic program."""
+    """Levenshtein distance by the bit-vector algorithm of Myers (1999).
+
+    Hyyrö's (2003) global form on Python ints: the shorter string is the
+    pattern, bit i of a vector stands for its row i, and each character
+    of the longer string advances one DP column in O(ceil(m/w)) word
+    operations. pv/mv hold the +1/-1 vertical deltas of the column, and
+    `dist` follows the last row, D[m][j].
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
+    m = len(b)
+    if not m:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        curr = [i]
-        for j, cb in enumerate(b, 1):
-            curr.append(min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = curr
-    return prev[-1]
+    peq = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # Row 0 is D[0][j] = j, so a +1 horizontal delta enters at bit 0.
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def similarity(a: Sequence[str], b: Sequence[str], sep: str = " ") -> float:

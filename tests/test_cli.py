@@ -215,7 +215,7 @@ class TestSimulate:
 class TestPairs:
     def test_identical_records_single_auto_dirty_pair(self, tmp_path):
         records = tmp_path / "records.csv"
-        records.write_text("record_id,name\na,same,\nb,same,\n")
+        records.write_text("record_id,name,note\na,same,\nb,same,\n")
         out = tmp_path / "pairs.csv"
         assert main(
             ["pairs", str(records), "--alpha", "0.5", "--beta", "0.9", "--out", str(out)]
@@ -257,6 +257,28 @@ class TestPairs:
         code = main(["pairs", str(records), "--alpha", "0.1", "--beta", "0.9"])
         assert code == 2
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("record_id,name\na,x\n,y\n", "line 3: empty record_id"),
+            ('record_id,name\na,x\nb,"unterminated\nc,z\nd,w\n',
+             "line 3: unexpected end of data"),
+            ('record_id,name\na,"two\nlines"\nb,x\na,y\n', "line 5: duplicate record_id 'a'"),
+            ("record_id,name\na,x\nb\n", "line 3: expected 2 columns, got 1"),
+            ("record_id,name\na,x\nb,y,z\n", "line 3: expected 2 columns, got 3"),
+        ],
+        ids=["empty-id", "unterminated-quote", "duplicate-after-multiline", "short-row",
+             "long-row"],
+    )
+    def test_malformed_records_exit_2_name_line(self, tmp_path, capsys, text, message):
+        records = tmp_path / "records.csv"
+        records.write_text(text)
+        code = main(["pairs", str(records), "--alpha", "0.1", "--beta", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_bad_thresholds_exit_2(self, tmp_path):
         records = tmp_path / "records.csv"

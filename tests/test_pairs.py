@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from errest.core import MalformedInputError
 from errest.pairs import (
@@ -20,6 +21,11 @@ from errest.pairs import (
 from helpers import edit_distance_oracle
 
 DATA = Path(__file__).parent / "data"
+
+# A few shared characters (ASCII, a combining acute, an astral emoji) so
+# that drawn strings overlap, mixed with any code point Hypothesis draws.
+CHARS = st.sampled_from("ab \u0301\U0001F600") | st.characters()
+TEXT = st.text(CHARS, max_size=150)
 
 
 def table_of(*rows):
@@ -70,6 +76,34 @@ class TestSimilarity:
             s_ab = similarity([a], [b])
             assert s_ab == similarity([b], [a])
             assert 0.0 <= s_ab <= 1.0
+
+
+class TestEditDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(TEXT, TEXT)
+    def test_matches_oracle_and_is_symmetric(self, a, b):
+        assert edit_distance(a, b) == edit_distance_oracle(a, b) == edit_distance(b, a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.text(CHARS, min_size=60, max_size=150), st.data())
+    def test_near_duplicates_past_one_word(self, a, data):
+        # Small edits of a long string keep the distance small, so the
+        # vectors' high bits (rows past 64 and 128) decide the result.
+        i = data.draw(st.integers(0, len(a)))
+        j = data.draw(st.integers(i, min(len(a), i + 3)))
+        b = a[:i] + data.draw(st.text(CHARS, max_size=3)) + a[j:]
+        assert edit_distance(a, b) == edit_distance_oracle(a, b) == edit_distance(b, a)
+
+    @pytest.mark.parametrize("a, b, want", [
+        ("", "", 0),
+        ("", "x" * 200, 200),
+        ("y" * 200, "", 200),
+        ("ab" * 33, "ab" * 33, 0),
+        ("abc" * 43, "abc" * 43, 0),
+        ("\U0001F600" * 129, "\U0001F600" * 129, 0),
+    ], ids=["empty", "empty-long", "long-empty", "equal-66", "equal-129", "equal-astral-129"])
+    def test_edge_cases(self, a, b, want):
+        assert edit_distance(a, b) == edit_distance_oracle(a, b) == want
 
 
 class TestCanonicalization:
