@@ -33,9 +33,7 @@ from .switch import (
     SwitchStats,
     Trend,
     d_switch,
-    remaining_switches,
     replay_switches,
-    switch_count,
     switch_fstats,
     switch_total_errors,
 )
@@ -46,7 +44,7 @@ from .priority import (
     partition,
     total_with_perfect_heuristic,
 )
-from .pairs import CandidatePair, RecordTable, all_pairs, candidates, similarity
+from .pairs import CandidatePair, RecordTable, similarity
 from .sim import (
     GroundTruth,
     SimScenario,

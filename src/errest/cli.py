@@ -36,19 +36,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-TRAJECTORY_HEADER = [
-    "task_index",
-    "nominal",
-    "majority",
-    "chao92_total",
-    "vchao92_total",
-    "switch_total",
-    "xi_pos",
-    "xi_neg",
-    "coverage_hat",
-    "truth",
-    "flags",
-]
+TRAJECTORY_HEADER = ["task_index", *ESTIMATE_COLUMNS, "coverage_hat", "truth", "flags"]
 
 SUMMARY_HEADER = ["task_index", "estimator", "mean", "std", "truth"]
 
@@ -93,21 +81,8 @@ def run_estimate(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_HEADER)
         for row in rows:
-            writer.writerow(
-                [
-                    row.task_index,
-                    row.nominal,
-                    row.majority,
-                    fmt(row.chao92_total),
-                    fmt(row.vchao92_total),
-                    fmt(row.switch_total),
-                    fmt(row.xi_pos),
-                    fmt(row.xi_neg),
-                    fmt(row.coverage_hat),
-                    fmt(row.truth),
-                    ";".join(row.flags),
-                ]
-            )
+            cells = [fmt(getattr(row, name)) for name in TRAJECTORY_HEADER[:-1]]
+            writer.writerow(cells + [";".join(row.flags)])
 
 
 def run_simulate(

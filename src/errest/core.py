@@ -8,10 +8,9 @@ dirty exactly once, exactly twice, ...).
 """
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class VoteLog:
     worker_ids: tuple[str, ...]
     task_ids: tuple[str, ...]
     item_count: int
-    task_size: int
 
     def __post_init__(self):
         columns = (self.item_ids, self.dirty, self.worker_ids, self.task_ids)
@@ -119,10 +117,6 @@ class TallyState:
 
     pos: np.ndarray
     neg: np.ndarray
-
-    @property
-    def item_count(self) -> int:
-        return len(self.pos)
 
 
 @dataclass(frozen=True)
@@ -186,14 +180,30 @@ def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
     return fstats_from_tally(tally(log, upto_seq))
 
 
-def _parse_votes(rows: Iterable[Sequence[str]], first_line: int) -> tuple[tuple, ...]:
-    """Parse vote rows into columns (item_ids, dirty, worker_ids, task_ids, lines).
+def _csv_records(reader) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, row) for each record of a csv.reader.
+
+    line is where the record starts: a quoted field may carry a record
+    over several lines. A csv.Error becomes a MalformedInputError naming
+    the line of the record being read.
+    """
+    line = reader.line_num + 1
+    try:
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise MalformedInputError(str(exc), line) from None
+
+
+def _parse_votes(records: Iterable[tuple[int, Sequence[str]]]) -> tuple[tuple, ...]:
+    """Parse (line, row) records into (item_ids, dirty, worker_ids, task_ids, lines).
 
     lines holds each vote's source line. Checks only the row format;
     VoteLog checks the log contract.
     """
     parsed = []
-    for line, row in enumerate(rows, first_line):
+    for line, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 4:
@@ -217,20 +227,17 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     offending line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInputError("missing header row", 1) from None
+        records = _csv_records(csv.reader(fh, strict=True))
+        _, header = next(records, (1, None))
+        if header is None:
+            raise MalformedInputError("missing header row", 1)
         if [h.strip() for h in header] != VOTES_CSV_HEADER:
             raise MalformedInputError(
                 f"header must be {','.join(VOTES_CSV_HEADER)}", 1
             )
-        item_ids, dirty, worker_ids, task_ids, lines = _parse_votes(reader, first_line=2)
-    sizes = Counter(task_ids)
-    task_size = max(sizes.values()) if sizes else 0
+        item_ids, dirty, worker_ids, task_ids, lines = _parse_votes(records)
     try:
-        return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count, task_size)
+        return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
     except MalformedInputError as exc:
         raise MalformedInputError(str(exc), lines[exc.position]) from None
 

@@ -1,28 +1,25 @@
 """Candidate-pair construction for entity-resolution cleaning.
 
-Expands a record table into the unordered, self-excluded pair universe,
-scores each pair with a normalized edit-distance similarity, and routes
-the scores through the heuristic partition so the ambiguous pairs can
-become the item universe for a cleaning pass.
+Expands a record table into the unordered, self-excluded pair universe
+and scores each pair with a normalized edit-distance similarity; the
+stratum rule of the heuristic partition then picks the ambiguous pairs
+that can become the item universe for a cleaning pass.
 """
 
 import csv
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import MalformedInputError
-from .priority import HeuristicPartition, partition
+from .core import MalformedInputError, _csv_records
 
 __all__ = [
     "RecordTable",
     "CandidatePair",
     "read_records_csv",
-    "all_pairs",
     "iter_scored_pairs",
     "normalize_fields",
     "edit_distance",
     "similarity",
-    "candidates",
 ]
 
 
@@ -67,41 +64,29 @@ def read_records_csv(path) -> RecordTable:
     ids = []
     fields = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, strict=True)
-        next_line = 1  # where the record the reader reads next starts
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise MalformedInputError("missing header row", 1)
-            if not header or header[0].strip() != "record_id":
-                raise MalformedInputError("first column must be record_id", 1)
-            seen = set()
-            next_line = reader.line_num + 1
-            for row in reader:
-                line, next_line = next_line, reader.line_num + 1
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise MalformedInputError(
-                        f"expected {len(header)} columns, got {len(row)}", line
-                    )
-                rid = row[0].strip()
-                if not rid:
-                    raise MalformedInputError("empty record_id", line)
-                if rid in seen:
-                    raise MalformedInputError(f"duplicate record_id {rid!r}", line)
-                seen.add(rid)
-                ids.append(rid)
-                fields.append(tuple(row[1:]))
-        except csv.Error as exc:
-            raise MalformedInputError(str(exc), next_line) from None
+        records = _csv_records(csv.reader(fh, strict=True))
+        _, header = next(records, (1, None))
+        if header is None:
+            raise MalformedInputError("missing header row", 1)
+        if not header or header[0].strip() != "record_id":
+            raise MalformedInputError("first column must be record_id", 1)
+        seen = set()
+        for line, row in records:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MalformedInputError(
+                    f"expected {len(header)} columns, got {len(row)}", line
+                )
+            rid = row[0].strip()
+            if not rid:
+                raise MalformedInputError("empty record_id", line)
+            if rid in seen:
+                raise MalformedInputError(f"duplicate record_id {rid!r}", line)
+            seen.add(rid)
+            ids.append(rid)
+            fields.append(tuple(row[1:]))
     return RecordTable(ids=tuple(ids), fields=tuple(fields))
-
-
-def all_pairs(t: RecordTable) -> int:
-    """Size of the unordered, self-excluded pair universe: N(N-1)/2."""
-    n = len(t)
-    return n * (n - 1) // 2
 
 
 def normalize_fields(fields: Sequence[str], sep: str = " ") -> str:
@@ -170,17 +155,3 @@ def iter_scored_pairs(t: RecordTable) -> Iterator[CandidatePair]:
                 right_id=t.ids[j],
                 similarity=similarity(t.fields[i], t.fields[j]),
             )
-
-
-def candidates(
-    t: RecordTable, alpha: float, beta: float
-) -> tuple[tuple[CandidatePair, ...], HeuristicPartition]:
-    """Score every pair and split the pair universe by similarity.
-
-    Returns the scored pairs in canonical order together with the
-    partition over their positions; the ambiguous positions are the
-    pairs worth sending to workers.
-    """
-    pairs = tuple(iter_scored_pairs(t))
-    part = partition([p.similarity for p in pairs], alpha, beta)
-    return pairs, part

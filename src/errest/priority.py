@@ -34,16 +34,13 @@ class HeuristicPartition:
     auto-dirty, below alpha auto-clean.
     """
 
-    scores: np.ndarray
-    alpha: float
-    beta: float
     ambiguous: tuple[int, ...]
     auto_dirty: tuple[int, ...]
     auto_clean: tuple[int, ...]
 
     @property
     def universe_size(self) -> int:
-        return len(self.scores)
+        return len(self.ambiguous) + len(self.auto_dirty) + len(self.auto_clean)
 
     @cached_property
     def complement(self) -> tuple[int, ...]:
@@ -82,9 +79,6 @@ def partition(scores: Sequence[float], alpha: float, beta: float) -> HeuristicPa
     for item, score in enumerate(arr.tolist()):
         strata[rule(score)].append(item)
     return HeuristicPartition(
-        scores=arr,
-        alpha=alpha,
-        beta=beta,
         ambiguous=tuple(strata["ambiguous"]),
         auto_dirty=tuple(strata["auto_dirty"]),
         auto_clean=tuple(strata["auto_clean"]),
@@ -100,16 +94,12 @@ class EpsilonPolicy:
 
     epsilon: float = DEFAULT_EPSILON
     seed: int = 0
-    _rng: np.random.Generator = field(init=False, repr=False)
+    rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
+        self.rng = np.random.default_rng(self.seed)
 
 
 def _draw_from(stratum: tuple[int, ...], chosen: set[int], rng) -> int:

@@ -31,8 +31,6 @@ __all__ = [
     "scm",
     "permute_tasks",
     "permute_and_average",
-    "nan_aware_mean",
-    "nan_aware_std",
     "load_scenario",
 ]
 
@@ -93,9 +91,6 @@ class GroundTruth:
         mask[list(self.dirty_set)] = True
         return mask
 
-    def dirty_mask(self) -> np.ndarray:
-        return self._mask.copy()
-
     def switches_needed(self, t: TallyState) -> tuple[int, int]:
         """Consensus flips needed to reach the truth from a tally.
 
@@ -153,7 +148,6 @@ def simulate(sc: SimScenario) -> tuple[VoteLog, GroundTruth]:
         worker_ids=tuple(chain.from_iterable([f"w{k}"] * size for k in tasks)),
         task_ids=tuple(chain.from_iterable([str(k)] * size for k in tasks)),
         item_count=sc.n_items,
-        task_size=sc.task_size,
     )
     return log, GroundTruth(dirty_set=frozenset(int(i) for i in dirty_items), n_items=sc.n_items)
 
@@ -189,7 +183,6 @@ def permute_tasks(log: VoteLog, order: Sequence[int]) -> VoteLog:
         worker_ids=tuple(log.worker_ids[pos] for pos in index),
         task_ids=tuple(log.task_ids[pos] for pos in index),
         item_count=log.item_count,
-        task_size=log.task_size,
     )
 
 
@@ -200,20 +193,6 @@ class PermutedTrajectory:
     mean: np.ndarray
     std: np.ndarray
     per_run: np.ndarray
-
-
-def nan_aware_mean(runs: np.ndarray) -> np.ndarray:
-    """Column means ignoring NaN; NaN where no run produced a value."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.nanmean(runs, axis=0)
-
-
-def nan_aware_std(runs: np.ndarray) -> np.ndarray:
-    """Column standard deviations ignoring NaN; NaN where empty."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.nanstd(runs, axis=0)
 
 
 def permute_and_average(
@@ -241,9 +220,11 @@ def permute_and_average(
             raise ValueError("estimator must produce one value per task")
         runs.append(values)
     per_run = np.stack(runs)
-    return PermutedTrajectory(
-        mean=nan_aware_mean(per_run), std=nan_aware_std(per_run), per_run=per_run
-    )
+    with warnings.catch_warnings():
+        # All-NaN columns (no run produced a value) stay NaN without a warning.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean, std = np.nanmean(per_run, axis=0), np.nanstd(per_run, axis=0)
+    return PermutedTrajectory(mean=mean, std=std, per_run=per_run)
 
 
 def load_scenario(path) -> SimScenario:

@@ -31,12 +31,9 @@ __all__ = [
     "SwitchEvent",
     "SwitchStats",
     "SwitchReplay",
-    "TotalErrorEstimate",
     "replay_switches",
-    "switch_count",
     "switch_fstats",
     "d_switch",
-    "remaining_switches",
     "switch_total_errors",
 ]
 
@@ -188,11 +185,6 @@ def replay_switches(log: VoteLog, upto_seq: int | None = None) -> SwitchStats:
     return replay.snapshot()
 
 
-def switch_count(stats: SwitchStats) -> int:
-    """Number of consensus flips observed so far."""
-    return stats.c_switch
-
-
 def switch_fstats(stats: SwitchStats, direction: Direction | None = None) -> FStatistics:
     """Fingerprint of switch-event multiplicities, optionally one-sided.
 
@@ -216,36 +208,12 @@ def d_switch(f: FStatistics, universe: int | None = None) -> EstimatorOutput:
     return chao92(f, universe=universe)
 
 
-@dataclass(frozen=True)
-class TotalErrorEstimate:
-    """A switch-derived figure with the degeneracy markers behind it."""
-
-    value: float
-    flags: tuple[str, ...] = ()
-
-
-def remaining_switches(
-    stats: SwitchStats,
-    direction: Direction | None = None,
-    universe: int | None = None,
-) -> TotalErrorEstimate:
-    """Expected consensus flips not yet observed, clamped at zero.
-
-    The flags are those of the d_switch estimate behind the figure.
-    """
-    f = switch_fstats(stats, direction)
-    if f.c == 0:
-        return TotalErrorEstimate(0.0)
-    est = d_switch(f, universe=universe)
-    return TotalErrorEstimate(max(est.total_errors_hat - f.c, 0.0), est.flags)
-
-
 def switch_total_errors(
     m: int, xi_pos: float, xi_neg: float, trend: Trend, universe: int
 ) -> float:
     """Adjust the strict-majority count m by the expected remaining flips.
 
-    xi_pos and xi_neg are the one-sided remaining_switches figures. A
+    xi_pos and xi_neg are the one-sided remaining_hat figures of d_switch. A
     rising majority count means undiscovered errors dominate, so only
     xi_pos is added; a falling one subtracts xi_neg; a flat majority
     applies both. The result is clamped to [0, universe].

@@ -15,7 +15,8 @@ from .switch import (
     Direction,
     SwitchReplay,
     Trend,
-    remaining_switches,
+    d_switch,
+    switch_fstats,
     switch_total_errors,
 )
 
@@ -120,12 +121,12 @@ def evaluate_trajectory(
             flags.append("vchao92_total:insufficient-data")
 
         stats = replay.snapshot()
-        xi_pos = remaining_switches(stats, Direction.POSITIVE, n)
-        xi_neg = remaining_switches(stats, Direction.NEGATIVE, n)
+        xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
+        xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
         for column, remaining in (("xi_pos", xi_pos), ("xi_neg", xi_neg)):
             flags.extend(f"{column}:{marker}" for marker in remaining.flags)
         trend = trend_from_history(majority_history, trend_window)
-        total = switch_total_errors(m, xi_pos.value, xi_neg.value, trend, n)
+        total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, trend, n)
 
         truth_count = truth_xi_pos = truth_xi_neg = None
         if truth is not None:
@@ -140,8 +141,8 @@ def evaluate_trajectory(
                 chao92_total=chao.total_errors_hat,
                 vchao92_total=vchao_total,
                 switch_total=total,
-                xi_pos=xi_pos.value,
-                xi_neg=xi_neg.value,
+                xi_pos=xi_pos.remaining_hat,
+                xi_neg=xi_neg.remaining_hat,
                 coverage_hat=chao.coverage_hat,
                 truth=truth_count,
                 flags=tuple(flags),

@@ -9,20 +9,27 @@ check.
 from collections import Counter
 
 from hypothesis import strategies as st
+import numpy as np
 
 from errest.core import FStatistics, VoteLog
 
 D, C = True, False  # a vote's `dirty` value
 
 
-def make_log(task_votes, item_count, task_size=None):
+def make_log(task_votes, item_count):
     """Build a VoteLog from [[(item, dirty), ...] per task]."""
     votes = [
         (item, dirty, f"w{k}", str(k)) for k, task in enumerate(task_votes) for item, dirty in task
     ]
     item_ids, dirty, worker_ids, task_ids = zip(*votes) if votes else ((),) * 4
-    size = task_size if task_size is not None else max((len(t) for t in task_votes), default=0)
-    return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count, size)
+    return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
+
+
+def dirty_mask(truth):
+    """Boolean mask over the universe of a GroundTruth's planted dirty items."""
+    mask = np.zeros(truth.n_items, dtype=bool)
+    mask[list(truth.dirty_set)] = True
+    return mask
 
 
 def log_votes(log, upto=None):

@@ -80,6 +80,23 @@ class TestEstimate:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('0,"two\nlines",0,1\n0,w1,1,2\n', "line 4: label '2' must be 0 or 1"),
+            (f"0,{'w' * 140_000},0,1\n", "line 2: field larger than field limit"),
+        ],
+        ids=["bad-label-after-multiline", "oversized-field"],
+    )
+    def test_malformed_votes_exit_2_name_line(self, tmp_path, capsys, text, message):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n" + text)
+        code = main(["estimate", str(votes), "--n-items", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_inconsistent_universe_exit_2(self, tmp_path, capsys):
         votes = tmp_path / "votes.csv"
         votes.write_text("task_id,worker_id,item_id,label\n0,w0,9,1\n")

@@ -12,8 +12,10 @@ from errest.core import (
     TallyState,
     error_fstats,
     fstats_from_tally,
+    read_truth_csv,
     read_votes_csv,
     tally,
+    write_truth_csv,
     write_votes_csv,
 )
 
@@ -135,22 +137,22 @@ class TestFStatsFromTally:
 class TestVoteLogValidation:
     def test_duplicate_worker_item_rejected(self):
         with pytest.raises(MalformedInputError, match="votes twice"):
-            VoteLog([0, 0], [D, C], ("w0", "w0"), ("t0", "t0"), item_count=1, task_size=2)
+            VoteLog([0, 0], [D, C], ("w0", "w0"), ("t0", "t0"), item_count=1)
 
     def test_split_task_rejected(self):
         with pytest.raises(MalformedInputError, match="non-contiguous"):
             VoteLog(
                 [0, 1, 1], [D, D, D], ("w0", "w1", "w2"), ("t0", "t1", "t0"),
-                item_count=2, task_size=1,
+                item_count=2,
             )
 
     def test_item_out_of_universe_rejected(self):
         with pytest.raises(MalformedInputError, match="universe"):
-            VoteLog([5], [D], ("w0",), ("t0",), item_count=3, task_size=1)
+            VoteLog([5], [D], ("w0",), ("t0",), item_count=3)
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            VoteLog([0, 1], [D], ("w0", "w0"), ("t0", "t0"), item_count=2, task_size=2)
+            VoteLog([0, 1], [D], ("w0", "w0"), ("t0", "t0"), item_count=2)
 
     def test_task_blocks(self):
         log = make_log([[(0, D), (1, C)], [(2, D)]], item_count=3)
@@ -176,7 +178,7 @@ def assert_same_columns(a, b):
     assert a.item_ids.tolist() == b.item_ids.tolist()
     assert a.dirty.tolist() == b.dirty.tolist()
     assert a.worker_ids == b.worker_ids and a.task_ids == b.task_ids
-    assert (a.item_count, a.task_size) == (b.item_count, b.task_size)
+    assert a.item_count == b.item_count
 
 
 class TestCsv:
@@ -202,13 +204,21 @@ class TestCsv:
             write_votes_csv(log, path)
             assert_same_columns(read_votes_csv(path, item_count=log.item_count), log)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.frozensets(st.integers(0, 49)))
+    def test_truth_round_trip(self, dirty):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "truth.csv"
+            write_truth_csv(dirty, path)
+            assert read_truth_csv(path, item_count=50) == dirty
+
     def test_earliest_violation_reported(self, tmp_path):
         # vote 1 repeats a worker-item pair, vote 2 leaves the universe and
         # vote 3 splits task t0: the log and the CSV reader both report vote 1
         rows = [("t0", "w0", 0, 1), ("t0", "w0", 0, 0), ("t1", "w1", 9, 1), ("t0", "w2", 1, 1)]
         task_ids, worker_ids, item_ids, labels = zip(*rows)
         with pytest.raises(MalformedInputError, match="votes twice") as exc:
-            VoteLog(item_ids, [x == 1 for x in labels], worker_ids, task_ids, 3, 2)
+            VoteLog(item_ids, [x == 1 for x in labels], worker_ids, task_ids, 3)
         assert exc.value.position == 1
         path = tmp_path / "votes.csv"
         lines = ["task_id,worker_id,item_id,label", ""] + [",".join(map(str, r)) for r in rows]

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from errest.core import MalformedInputError
 from errest.pairs import (
     RecordTable,
-    all_pairs,
-    candidates,
     edit_distance,
     iter_scored_pairs,
     normalize_fields,
     read_records_csv,
     similarity,
 )
+from errest.priority import stratum_rule
 
 from helpers import edit_distance_oracle
 
@@ -32,16 +31,11 @@ def table_of(*rows):
     return RecordTable(ids=tuple(r[0] for r in rows), fields=tuple(r[1] for r in rows))
 
 
-class TestAllPairs:
-    def test_restaurant_universe_size(self):
-        t = RecordTable(ids=tuple(f"r{i}" for i in range(858)), fields=(("",),) * 858)
-        assert all_pairs(t) == 367_653
-
-    def test_two_records(self):
-        assert all_pairs(table_of(("a", ("x",)), ("b", ("y",)))) == 1
-
-    def test_single_record(self):
-        assert all_pairs(table_of(("a", ("x",)))) == 0
+def pairs_in(t, alpha, beta, stratum):
+    """Ids of the scored pairs that the [alpha, beta] rule puts in `stratum`."""
+    rule = stratum_rule(alpha, beta)
+    pairs = iter_scored_pairs(t)
+    return {(p.left_id, p.right_id) for p in pairs if rule(p.similarity) == stratum}
 
 
 class TestSimilarity:
@@ -116,28 +110,24 @@ class TestCanonicalization:
 
     def test_pair_count_matches(self):
         t = table_of(*((f"r{i}", (str(i),)) for i in range(7)))
-        assert len(list(iter_scored_pairs(t))) == all_pairs(t) == 21
+        assert len(list(iter_scored_pairs(t))) == 7 * 6 // 2 == 21
 
 
 class TestCandidates:
     def test_planted_duplicates_are_the_ambiguous_set(self):
         t = read_records_csv(DATA / "fixture_records.csv")
-        pairs, part = candidates(t, alpha=0.5, beta=0.9)
-        ambiguous = {(pairs[i].left_id, pairs[i].right_id) for i in part.ambiguous}
-        assert ambiguous == {("r0", "r1"), ("r2", "r3")}
-        assert part.auto_dirty == ()
+        assert pairs_in(t, 0.5, 0.9, "ambiguous") == {("r0", "r1"), ("r2", "r3")}
+        assert pairs_in(t, 0.5, 0.9, "auto_dirty") == set()
 
     def test_threshold_monotonicity(self):
         t = read_records_csv(DATA / "fixture_records.csv")
-        pairs, narrow = candidates(t, alpha=0.5, beta=0.9)
-        _, wide = candidates(t, alpha=0.2, beta=0.95)
-        assert set(narrow.ambiguous) <= set(wide.ambiguous)
+        assert pairs_in(t, 0.5, 0.9, "ambiguous") <= pairs_in(t, 0.2, 0.95, "ambiguous")
 
     def test_identical_records_auto_dirty(self):
         t = table_of(("a", ("same", "thing")), ("b", ("same", "thing")))
-        pairs, part = candidates(t, alpha=0.5, beta=0.9)
-        assert pairs[0].similarity == 1.0
-        assert part.auto_dirty == (0,)
+        (pair,) = iter_scored_pairs(t)
+        assert pair.similarity == 1.0
+        assert stratum_rule(0.5, 0.9)(pair.similarity) == "auto_dirty"
 
 
 class TestStreaming:
@@ -150,7 +140,7 @@ class TestStreaming:
             count += 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert count == n * (n - 1) // 2 == all_pairs(t)
+        assert count == n * (n - 1) // 2
         assert peak < 10 * 1024 * 1024  # far below the ~60MB of materialized pairs
 
 

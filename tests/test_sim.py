@@ -19,7 +19,7 @@ from errest.sim import (
 )
 from errest.trajectory import evaluate_trajectory
 
-from helpers import log_votes, vote_logs
+from helpers import dirty_mask, log_votes, vote_logs
 
 
 def small_scenario(**kw):
@@ -48,7 +48,7 @@ class TestSimulate:
     def test_perfect_workers_vote_the_truth(self):
         sc = small_scenario(fn_rate=0.0, fp_rate=0.0)
         log, truth = simulate(sc)
-        dirty = truth.dirty_mask()
+        dirty = dirty_mask(truth)
         assert (log.dirty == dirty[log.item_ids]).all()
         t = tally(log)
         seen_dirty = {item for item in log.item_ids.tolist() if dirty[item]}
@@ -62,7 +62,7 @@ class TestSimulate:
         )
         log, truth = simulate(sc)
         assert len(log) >= 100_000
-        dirty = truth.dirty_mask()
+        dirty = dirty_mask(truth)
         n_d = flips_d = n_c = flips_c = 0
         for item, vote_dirty in log_votes(log):
             if dirty[item]:
@@ -87,7 +87,7 @@ class TestSimulate:
     def test_prioritized_draws_respect_epsilon_zero(self):
         sc = small_scenario(prioritize=True, epsilon=0.0, heuristic_error=0.0)
         log, truth = simulate(sc)
-        dirty = truth.dirty_mask()
+        dirty = dirty_mask(truth)
         # perfect heuristic puts exactly the dirty items in the band
         assert dirty[log.item_ids].all()
 
@@ -209,6 +209,19 @@ class TestPermuteAndAverage:
         t, t_permuted = tally(log), tally(permuted)
         assert (t.pos == t_permuted.pos).all() and (t.neg == t_permuted.neg).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_final_row_order_free_columns_invariant(self, data):
+        log = data.draw(vote_logs())
+        order = data.draw(st.permutations(range(log.task_count)))
+        columns = ("nominal", "majority", "chao92_total", "vchao92_total", "coverage_hat")
+
+        def final(votes):
+            rows = evaluate_trajectory(votes)[-1:]
+            return [tuple(getattr(row, c) for c in columns) for row in rows]
+
+        assert final(permute_tasks(log, order)) == final(log)
+
     def test_full_log_statistics_order_free(self):
         log, _ = simulate(small_scenario(n_tasks=8))
         rng = np.random.default_rng(0)
@@ -237,7 +250,7 @@ class TestScenarioOrderings:
             log, truth = simulate(replace(base, seed=seed))
             f = error_fstats(log)
             t = tally(log)
-            dirty = truth.dirty_mask()
+            dirty = dirty_mask(truth)
             false_marks.append(int(((t.pos > 0) & ~dirty).sum()))
             f1s.append(f.f1)
             ns.append(f.n)

@@ -13,9 +13,7 @@ from errest.switch import (
     SwitchStats,
     Trend,
     d_switch,
-    remaining_switches,
     replay_switches,
-    switch_count,
     switch_fstats,
     switch_total_errors,
 )
@@ -68,7 +66,7 @@ class TestReplayExamples:
         # holds clean even though the strict majority returns to dirty.
         log = single_item_log([D, C, D])
         stats = replay_switches(log)
-        assert switch_count(stats) == 2
+        assert stats.c_switch == 2
         replay = SwitchReplay(1)
         for seq, (item, dirty) in enumerate(log_votes(log)):
             replay.apply(item, dirty, seq)
@@ -76,18 +74,18 @@ class TestReplayExamples:
 
     def test_prefix_argument(self):
         log = single_item_log([D, C, D, C])
-        assert switch_count(replay_switches(log, 1)) == 1
-        assert switch_count(replay_switches(log, 2)) == 2
-        assert switch_count(replay_switches(log, 4)) == 3
+        assert replay_switches(log, 1).c_switch == 1
+        assert replay_switches(log, 2).c_switch == 2
+        assert replay_switches(log, 4).c_switch == 3
 
 
 class TestSwitchCount:
     def test_empty(self):
-        assert switch_count(replay_switches(make_log([], item_count=2))) == 0
+        assert replay_switches(make_log([], item_count=2)).c_switch == 0
 
     def test_two_items_first_votes_dirty(self):
         log = make_log([[(0, D)], [(1, D)]], item_count=2)
-        assert switch_count(replay_switches(log)) == 2
+        assert replay_switches(log).c_switch == 2
 
     def test_random_log_equals_direct_double_sum(self):
         rng = np.random.default_rng(17)
@@ -95,7 +93,13 @@ class TestSwitchCount:
             [[(int(rng.integers(5)), D if rng.random() < 0.5 else C)] for _ in range(40)],
             item_count=5,
         )
-        assert switch_count(replay_switches(log)) == eq7_switch_count(log)
+        assert replay_switches(log).c_switch == eq7_switch_count(log)
+
+    @settings(max_examples=100, deadline=None)
+    @given(vote_logs())
+    def test_equals_direct_double_sum_at_every_prefix(self, log):
+        for upto in range(len(log) + 1):
+            assert replay_switches(log, upto).c_switch == eq7_switch_count(log, upto)
 
 
 class TestOracleEquivalence:
@@ -105,7 +109,7 @@ class TestOracleEquivalence:
             log = random_log(rng)
             stats = replay_switches(log)
             events, labels, n_switch = consensus_oracle(log)
-            assert switch_count(stats) == eq7_switch_count(log)
+            assert stats.c_switch == eq7_switch_count(log)
             assert [
                 (e.item_id, e.direction is Direction.POSITIVE, e.multiplicity)
                 for e in stats.events
@@ -214,29 +218,30 @@ class TestDSwitch:
 class TestRemainingSwitches:
     def test_no_singletons_means_none_remaining(self):
         stats = replay_switches(make_log([[(0, D)], [(0, D)]], item_count=1))
-        assert remaining_switches(stats).value == 0.0
+        assert d_switch(switch_fstats(stats)).remaining_hat == 0.0
 
     def test_hand_arithmetic(self):
         log = make_log([[(0, D)], [(0, D)], [(0, D)], [(1, D)]], item_count=2)
         stats = replay_switches(log)
-        assert remaining_switches(stats).value == pytest.approx(28 / 9 - 2, rel=1e-9)
+        out = d_switch(switch_fstats(stats))
+        assert out.remaining_hat == pytest.approx(28 / 9 - 2, rel=1e-9)
 
     def test_no_events(self):
         stats = replay_switches(make_log([[(0, C)]], item_count=1))
-        assert remaining_switches(stats).value == 0.0
+        assert d_switch(switch_fstats(stats)).remaining_hat == 0.0
 
     def test_clamped_at_zero(self):
         rng = np.random.default_rng(55)
         for _ in range(50):
             stats = replay_switches(random_log(rng))
-            assert remaining_switches(stats, universe=100).value >= 0.0
-            assert remaining_switches(stats, Direction.POSITIVE, universe=100).value >= 0.0
+            assert d_switch(switch_fstats(stats), 100).remaining_hat >= 0.0
+            assert d_switch(switch_fstats(stats, Direction.POSITIVE), 100).remaining_hat >= 0.0
 
     def test_carries_d_switch_flags(self):
         # two singleton flips: zero coverage, so the figure is the capped remainder
         stats = replay_switches(make_log([[(0, D)], [(1, D)]], item_count=2))
-        out = remaining_switches(stats, universe=9)
-        assert out.value == 7.0 and out.flags == (LOW_COVERAGE,)
+        out = d_switch(switch_fstats(stats), 9)
+        assert out.remaining_hat == 7.0 and out.flags == (LOW_COVERAGE,)
 
 
 def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
@@ -265,9 +270,9 @@ class TestSwitchTotalErrors:
     def total(self, pos, neg, stats, trend):
         """switch_total_errors fed the way evaluate_trajectory feeds it."""
         t = TallyState(np.array(pos, dtype=np.int64), np.array(neg, dtype=np.int64))
-        n = t.item_count
-        xi_pos = remaining_switches(stats, Direction.POSITIVE, n).value
-        xi_neg = remaining_switches(stats, Direction.NEGATIVE, n).value
+        n = len(t.pos)
+        xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n).remaining_hat
+        xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n).remaining_hat
         return switch_total_errors(majority(t), xi_pos, xi_neg, trend, n)
 
     def test_no_remaining_switches_any_trend(self):

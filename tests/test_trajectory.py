@@ -4,10 +4,10 @@ import pytest
 from errest.core import error_fstats, tally
 from errest.estimators import chao92, majority, nominal
 from errest.sim import GroundTruth
-from errest.switch import Direction, remaining_switches, replay_switches
+from errest.switch import Direction, d_switch, replay_switches, switch_fstats
 from errest.trajectory import evaluate_trajectory
 
-from helpers import D, make_log, vote_logs
+from helpers import D, dirty_mask, make_log, vote_logs
 
 
 class TestArguments:
@@ -33,10 +33,12 @@ class TestIncrementalReplay:
             assert row.nominal == nominal(t)
             assert row.majority == majority(t)
             assert row.chao92_total == chao92(error_fstats(log, end), universe=n).total_errors_hat
-            assert row.xi_pos == remaining_switches(stats, Direction.POSITIVE, n).value
-            assert row.xi_neg == remaining_switches(stats, Direction.NEGATIVE, n).value
+            xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
+            xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
+            assert row.xi_pos == xi_pos.remaining_hat
+            assert row.xi_neg == xi_neg.remaining_hat
             consensus = t.pos > t.neg
-            dirty = truth.dirty_mask()
+            dirty = dirty_mask(truth)
             assert row.truth_xi_pos == int((dirty & ~consensus).sum())
             assert row.truth_xi_neg == int((~dirty & consensus).sum())
 
