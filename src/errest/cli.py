@@ -247,6 +247,9 @@ def main(argv=None) -> int:
         # MalformedInputError and JSON decode errors are ValueError subclasses.
         print(f"errest: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"errest: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

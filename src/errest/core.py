@@ -8,8 +8,7 @@ dirty exactly once, exactly twice, ...).
 """
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -42,6 +41,12 @@ class MalformedInputError(ValueError):
         super().__init__(message)
 
 
+def _codes(ids: Sequence[str]) -> np.ndarray:
+    """Intern ids as int codes numbered in order of first appearance."""
+    index = {key: code for code, key in enumerate(dict.fromkeys(ids))}
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
 @dataclass(frozen=True, eq=False)
 class VoteLog:
     """An ordered vote stream over items [0, item_count), held as columns.
@@ -58,53 +63,43 @@ class VoteLog:
     task_ids: tuple[str, ...]
     item_count: int
 
+    # Task blocks as (task_id, start, end) positions with end exclusive.
+    tasks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
+
     def __post_init__(self):
         columns = (self.item_ids, self.dirty, self.worker_ids, self.task_ids)
         if len({len(col) for col in columns}) > 1:
             raise ValueError("vote-log columns must have equal length")
-        seen_pairs = set()
-        seen_tasks = set()
-        prev_task = None
-        # Check the raw ids before the int64 cast, which would overflow on huge ones.
-        rows = zip(np.asarray(self.item_ids).tolist(), self.worker_ids, self.task_ids)
-        for idx, (item_id, worker_id, task_id) in enumerate(rows):
-            if not 0 <= item_id < self.item_count:
-                raise MalformedInputError(
-                    f"item_id {item_id} outside universe [0, {self.item_count})",
-                    position=idx,
-                )
-            pair = (item_id, worker_id)
-            if pair in seen_pairs:
-                raise MalformedInputError(
-                    f"worker {worker_id!r} votes twice on item {item_id}",
-                    position=idx,
-                )
-            seen_pairs.add(pair)
-            if task_id != prev_task:
-                if task_id in seen_tasks:
-                    raise MalformedInputError(
-                        f"task {task_id!r} is split into non-contiguous blocks",
-                        position=idx,
-                    )
-                seen_tasks.add(task_id)
-                prev_task = task_id
-        object.__setattr__(self, "item_ids", np.asarray(self.item_ids, dtype=np.int64))
+        # Check the raw ids before the int64 cast, which would overflow on huge ones;
+        # the other checks see only the votes before the first id outside.
+        raw = np.asarray(self.item_ids)
+        outside = np.flatnonzero((raw < 0) | (raw >= self.item_count))
+        end = int(outside[0]) if len(outside) else len(raw)
+        items = np.asarray(raw[:end], dtype=np.int64)
+        workers, task_codes = _codes(self.worker_ids[:end]), _codes(self.task_ids[:end])
+        order = np.lexsort((workers, items))  # stable: a pair's votes stay in arrival order
+        repeats = order[1:][(np.diff(items[order]) == 0) & (np.diff(workers[order]) == 0)]
+        # Codes follow first appearance: block k of a whole-task log has code k.
+        starts = np.flatnonzero(np.diff(task_codes, prepend=-1))
+        splits = starts[task_codes[starts] != np.arange(len(starts))]
+        dup, split = int(repeats.min(initial=end)), int(splits.min(initial=end))
+        if dup < end and dup <= split:
+            message = f"worker {self.worker_ids[dup]!r} votes twice on item {items[dup]}"
+            raise MalformedInputError(message, position=dup)
+        if split < end:
+            message = f"task {self.task_ids[split]!r} is split into non-contiguous blocks"
+            raise MalformedInputError(message, position=split)
+        if end < len(raw):
+            message = f"item_id {self.item_ids[end]} outside universe [0, {self.item_count})"
+            raise MalformedInputError(message, position=end)
+        bounds = starts.tolist() + [end]
+        blocks = [(self.task_ids[a], a, b) for a, b in zip(bounds, bounds[1:])]
+        object.__setattr__(self, "tasks", tuple(blocks))
+        object.__setattr__(self, "item_ids", items)
         object.__setattr__(self, "dirty", np.asarray(self.dirty, dtype=bool))
 
     def __len__(self) -> int:
         return len(self.item_ids)
-
-    @cached_property
-    def tasks(self) -> tuple[tuple[str, int, int], ...]:
-        """Task blocks as (task_id, start, end) positions with end exclusive."""
-        ids = self.task_ids
-        blocks = []
-        start = 0
-        for idx in range(1, len(ids) + 1):
-            if idx == len(ids) or ids[idx] != ids[start]:
-                blocks.append((ids[start], start, idx))
-                start = idx
-        return tuple(blocks)
 
     @property
     def task_count(self) -> int:
@@ -196,6 +191,16 @@ def _csv_records(reader) -> Iterator[tuple[int, list[str]]]:
         raise MalformedInputError(str(exc), line) from None
 
 
+def _parse_id(text: str, what: str, line: int) -> int:
+    """An id in ASCII digits; int() alone reads "1_0" as 10 and non-ASCII digits."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise MalformedInputError(f"{what} {text!r} is not an integer", line)
+
+
 def _parse_votes(records: Iterable[tuple[int, Sequence[str]]]) -> tuple[tuple, ...]:
     """Parse (line, row) records into (item_ids, dirty, worker_ids, task_ids, lines).
 
@@ -209,10 +214,7 @@ def _parse_votes(records: Iterable[tuple[int, Sequence[str]]]) -> tuple[tuple, .
         if len(row) != 4:
             raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
         task_id, worker_id, item_s, label_s = (col.strip() for col in row)
-        try:
-            item_id = int(item_s)
-        except ValueError:
-            raise MalformedInputError(f"item_id {item_s!r} is not an integer", line) from None
+        item_id = _parse_id(item_s, "item_id", line)
         if label_s not in ("0", "1"):
             raise MalformedInputError(f"label {label_s!r} must be 0 or 1", line)
         parsed.append((item_id, label_s == "1", worker_id, task_id, line))
@@ -232,9 +234,7 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
         if header is None:
             raise MalformedInputError("missing header row", 1)
         if [h.strip() for h in header] != VOTES_CSV_HEADER:
-            raise MalformedInputError(
-                f"header must be {','.join(VOTES_CSV_HEADER)}", 1
-            )
+            raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
         item_ids, dirty, worker_ids, task_ids, lines = _parse_votes(records)
     try:
         return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
@@ -258,12 +258,7 @@ def read_truth_csv(path, item_count: int) -> frozenset[int]:
             text = raw.strip()
             if not text:
                 continue
-            try:
-                item_id = int(text)
-            except ValueError:
-                raise MalformedInputError(
-                    f"truth entry {text!r} is not an integer", line_no
-                ) from None
+            item_id = _parse_id(text, "truth entry", line_no)
             if not 0 <= item_id < item_count:
                 raise MalformedInputError(
                     f"truth item {item_id} outside universe [0, {item_count})", line_no

@@ -148,11 +148,9 @@ def vchao92(
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     c_majority = majority(t)
-    n_shifted = f.n - sum(f.f(i) for i in range(1, shift + 1))
+    n_shifted = f.n - sum(fj for j, fj in f.freq.items() if j <= shift)
     if n_shifted <= 0:
-        raise InsufficientDataError(
-            f"shift {shift} leaves no effective sample (n={f.n})"
-        )
+        raise InsufficientDataError(f"shift {shift} leaves no effective sample (n={f.n})")
     freq = {j - shift: fj for j, fj in f.freq.items() if j > shift}
     shifted = FStatistics(freq=freq, n=n_shifted, c=sum(freq.values()))
     return _chao_form(c_majority, shifted, f, universe)

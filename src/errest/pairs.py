@@ -33,9 +33,11 @@ class RecordTable:
     def __post_init__(self):
         if len(self.ids) != len(self.fields):
             raise ValueError("ids and fields must have equal length")
-        if len(set(self.ids)) != len(self.ids):
-            dupes = {i for i in self.ids if self.ids.count(i) > 1}
-            raise MalformedInputError(f"duplicate record_id {sorted(dupes)[0]!r}")
+        seen = set()
+        for position, rid in enumerate(self.ids):
+            if rid in seen:
+                raise MalformedInputError(f"duplicate record_id {rid!r}", position=position)
+            seen.add(rid)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -57,12 +59,13 @@ class CandidatePair:
 def read_records_csv(path) -> RecordTable:
     """Load records from CSV with header record_id,field1,field2,...
 
-    Every row has the header's column count and a non-empty, unique
-    record_id. Errors name the line on which the offending record starts,
-    which a quoted field may carry over several lines.
+    Every row has the header's column count and a non-empty record_id;
+    RecordTable checks that ids are unique. Errors name the line on which
+    the offending record starts, which a quoted field may span.
     """
     ids = []
     fields = []
+    lines = []
     with open(path, newline="", encoding="utf-8") as fh:
         records = _csv_records(csv.reader(fh, strict=True))
         _, header = next(records, (1, None))
@@ -70,23 +73,21 @@ def read_records_csv(path) -> RecordTable:
             raise MalformedInputError("missing header row", 1)
         if not header or header[0].strip() != "record_id":
             raise MalformedInputError("first column must be record_id", 1)
-        seen = set()
         for line, row in records:
             if not row:
                 continue
             if len(row) != len(header):
-                raise MalformedInputError(
-                    f"expected {len(header)} columns, got {len(row)}", line
-                )
+                raise MalformedInputError(f"expected {len(header)} columns, got {len(row)}", line)
             rid = row[0].strip()
             if not rid:
                 raise MalformedInputError("empty record_id", line)
-            if rid in seen:
-                raise MalformedInputError(f"duplicate record_id {rid!r}", line)
-            seen.add(rid)
             ids.append(rid)
             fields.append(tuple(row[1:]))
-    return RecordTable(ids=tuple(ids), fields=tuple(fields))
+            lines.append(line)
+    try:
+        return RecordTable(ids=tuple(ids), fields=tuple(fields))
+    except MalformedInputError as exc:
+        raise MalformedInputError(str(exc), lines[exc.position]) from None
 
 
 def normalize_fields(fields: Sequence[str], sep: str = " ") -> str:

@@ -64,6 +64,66 @@ def vote_logs(draw, max_items=6, max_tasks=12, max_task_size=3):
     return make_log(draw(st.lists(task, max_size=max_tasks)), item_count=n_items)
 
 
+@st.composite
+def broken_columns(draw):
+    """Columns of a vote_logs() log with up to four injected contract violations.
+
+    Returns (item_ids, worker_ids, task_ids, item_count). Each injection
+    picks a vote and, in any combination, puts its id outside the
+    universe (negative, or beyond int64), gives it an earlier vote's
+    worker-item pair, or gives it an earlier vote's task.
+    """
+    log = draw(vote_logs())
+    items, workers, tasks = log.item_ids.tolist(), list(log.worker_ids), list(log.task_ids)
+    kinds = st.sets(st.sampled_from(["universe", "duplicate", "split"]), min_size=1)
+    spots = st.lists(st.tuples(st.integers(0, len(items) - 1), kinds), max_size=4)
+    for k, chosen in draw(spots) if items else ():
+        j = draw(st.integers(0, k))
+        if "duplicate" in chosen:
+            items[k], workers[k] = items[j], workers[j]
+        if "split" in chosen:
+            tasks[k] = tasks[j]
+        if "universe" in chosen:
+            items[k] = draw(st.sampled_from([-1, -(2**70), log.item_count, 2**63, 10**22]))
+    return items, tuple(workers), tuple(tasks), log.item_count
+
+
+def contract_violation(item_ids, worker_ids, task_ids, item_count):
+    """The vote-log contract checked one vote at a time, with two sets.
+
+    Returns the (message, position) of the first violation in arrival
+    order, checking universe, then duplicate pair, then split task at each
+    vote; None for a valid log.
+    """
+    seen_pairs = set()
+    seen_tasks = set()
+    prev_task = None
+    for idx, (item_id, worker_id, task_id) in enumerate(zip(item_ids, worker_ids, task_ids)):
+        if not 0 <= item_id < item_count:
+            return f"item_id {item_id} outside universe [0, {item_count})", idx
+        pair = (item_id, worker_id)
+        if pair in seen_pairs:
+            return f"worker {worker_id!r} votes twice on item {item_id}", idx
+        seen_pairs.add(pair)
+        if task_id != prev_task:
+            if task_id in seen_tasks:
+                return f"task {task_id!r} is split into non-contiguous blocks", idx
+            seen_tasks.add(task_id)
+            prev_task = task_id
+    return None
+
+
+def task_blocks(task_ids):
+    """(task_id, start, end) runs of equal task ids, end exclusive."""
+    blocks = []
+    start = 0
+    for idx in range(1, len(task_ids) + 1):
+        if idx == len(task_ids) or task_ids[idx] != task_ids[start]:
+            blocks.append((task_ids[start], start, idx))
+            start = idx
+    return blocks
+
+
 def counter_fstats(t):
     """Discovery fingerprint of a tally, counted one item at a time."""
     counts = t.pos[t.pos > 0]

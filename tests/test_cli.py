@@ -120,6 +120,58 @@ class TestEstimate:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    def test_huge_shift_exit_0(self, tmp_path):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n0,w0,0,1\n1,w1,0,1\n2,w2,1,1\n")
+        out = tmp_path / "out.csv"
+        argv = ["estimate", str(votes), "--n-items", "5", "--shift", str(10**30)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert "vchao92_total:insufficient-data" in out.read_text()
+
+    @pytest.mark.parametrize("item", ["1_0", "\u0661", "\uff11"])
+    @pytest.mark.parametrize("where", ["votes", "truth"])
+    def test_non_ascii_or_underscore_id_exit_2(self, tmp_path, capsys, where, item):
+        # int() reads "1_0" as 10 and Arabic-Indic or fullwidth digits as 1
+        votes = tmp_path / "votes.csv"
+        truth = tmp_path / "truth.csv"
+        if where == "votes":
+            votes.write_text(f"task_id,worker_id,item_id,label\n0,w0,{item},1\n", "utf-8")
+            truth.write_text("0\n")
+            message = f"line 2: item_id {item!r} is not an integer"
+        else:
+            votes.write_text("task_id,worker_id,item_id,label\n0,w0,0,1\n")
+            truth.write_text(f"0\n{item}\n", "utf-8")
+            message = f"line 2: truth entry {item!r} is not an integer"
+        code = main(["estimate", str(votes), "--n-items", "20", "--truth", str(truth)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, command):
+    # A callee raises MemoryError the way numpy does on a huge universe; a
+    # real huge allocation may succeed under overcommit and then be killed.
+    reason = "Unable to allocate 7.28 TiB for an array with shape (10**12,)"
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(reason)
+
+    if command == "estimate":
+        monkeypatch.setattr("errest.trajectory.SwitchReplay", allocate)
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n0,w0,0,1\n")
+        argv = ["estimate", str(votes), "--n-items", "5"]
+    else:
+        monkeypatch.setattr("errest.cli.simulate", allocate)
+        argv = ["simulate", str(scenario_file(tmp_path))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"errest: out of memory: {reason}\n"
+    assert captured.out == ""
+
 
 class TestSimulate:
     @pytest.mark.parametrize(

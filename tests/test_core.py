@@ -1,7 +1,7 @@
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -22,12 +22,15 @@ from errest.core import (
 from helpers import (
     C,
     D,
+    broken_columns,
     brute_force_tally,
+    contract_violation,
     counter_fstats,
     log_votes,
     make_log,
     random_log,
     single_item_log,
+    task_blocks,
     vote_logs,
 )
 
@@ -153,6 +156,37 @@ class TestVoteLogValidation:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
             VoteLog([0, 1], [D], ("w0", "w0"), ("t0", "t0"), item_count=2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(broken_columns(), st.booleans())
+    # two repeated pairs whose sort order is not their arrival order
+    @example(([0, 0, 0, 0], ("w0", "w1", "w1", "w0"), ("0", "1", "2", "3"), 1), False)
+    def test_matches_vote_by_vote_oracle(self, columns, as_array):
+        item_ids, worker_ids, task_ids, item_count = columns
+        if as_array and all(-(2**63) <= i < 2**63 for i in item_ids):
+            item_ids = np.array(item_ids, dtype=np.int64)
+        dirty = [D] * len(task_ids)
+        expected = contract_violation(item_ids, worker_ids, task_ids, item_count)
+        if expected is None:
+            log = VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
+            assert list(log.tasks) == task_blocks(task_ids)
+        else:
+            with pytest.raises(MalformedInputError) as exc:
+                VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
+            assert (str(exc.value), exc.value.position) == expected
+
+    @pytest.mark.parametrize(
+        "item_ids, message",
+        [
+            ([0, -1, 2**63], "item_id -1 outside"),
+            ([0, 10**22, -(2**70)], "item_id 10000000000000000000000 outside"),
+        ],
+    )
+    def test_out_of_int64_universe_message_keeps_the_id(self, item_ids, message):
+        # [-1, 2**63] becomes a float64 array: the message keeps the int
+        with pytest.raises(MalformedInputError, match=message) as exc:
+            VoteLog(item_ids, [D] * 3, ("w0",) * 3, ("t0",) * 3, item_count=3)
+        assert exc.value.position == 1
 
     def test_task_blocks(self):
         log = make_log([[(0, D), (1, C)], [(2, D)]], item_count=3)

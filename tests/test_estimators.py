@@ -169,6 +169,11 @@ class TestVChao92:
         with pytest.raises(InsufficientDataError):
             vchao92(t, f, shift=1)
 
+    def test_shift_past_largest_multiplicity_is_constant(self):
+        t = tally_of([3, 2, 0, 0, 0], [0, 0, 1, 0, 0])
+        f = FStatistics(freq={1: 4, 2: 2, 3: 1}, n=11, c=7)
+        assert vchao92(t, f, shift=10**12) == vchao92(t, f, shift=3)
+
     def test_negative_shift_rejected(self):
         t = tally_of([1], [0])
         f = FStatistics(freq={1: 1}, n=1, c=1)

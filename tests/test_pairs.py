@@ -157,6 +157,11 @@ class TestRecordsCsv:
         with pytest.raises(MalformedInputError, match="duplicate record_id"):
             read_records_csv(path)
 
+    def test_earliest_repeated_id_reported(self):
+        with pytest.raises(MalformedInputError, match="duplicate record_id 'b'") as exc:
+            RecordTable(ids=("b", "a", "b", "a"), fields=(("",),) * 4)
+        assert exc.value.position == 2
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("id,name\nr0,a\n")
