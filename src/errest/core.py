@@ -8,6 +8,7 @@ dirty exactly once, exactly twice, ...).
 """
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -119,22 +120,19 @@ class FStatistics:
     """Frequency-of-frequencies fingerprint of a sample.
 
     freq maps a multiplicity j >= 1 to f_j, the number of distinct
-    classes observed exactly j times; c is the distinct-class count and
-    n the effective sample size. For discovery statistics n equals
-    sum(j * f_j); switch statistics supply an externally adjusted n.
+    classes observed exactly j times, and n is the effective sample
+    size. For discovery statistics n equals sum(j * f_j); switch
+    statistics supply an externally adjusted n.
     """
 
     freq: Mapping[int, int]
     n: int
-    c: int
 
     def __post_init__(self):
         clean = {j: int(fj) for j, fj in self.freq.items() if fj}
         object.__setattr__(self, "freq", clean)
         if any(j < 1 or fj < 0 for j, fj in clean.items()):
             raise ValueError("fingerprint multiplicities must be >= 1 with counts >= 0")
-        if self.c != sum(clean.values()):
-            raise ValueError("distinct count c must equal the sum of the f_j")
         if self.n < 0:
             raise ValueError("sample size n must be >= 0")
 
@@ -144,6 +142,11 @@ class FStatistics:
     @property
     def f1(self) -> int:
         return self.freq.get(1, 0)
+
+    @property
+    def c(self) -> int:
+        """Distinct-class count: the sum of the f_j."""
+        return sum(self.freq.values())
 
 
 def tally(log: VoteLog, upto_seq: int | None = None) -> TallyState:
@@ -167,12 +170,34 @@ def fstats_from_tally(t: TallyState) -> FStatistics:
     counts = np.bincount(t.pos)
     multiplicities = np.flatnonzero(counts[1:]) + 1
     freq = dict(zip(multiplicities.tolist(), counts[multiplicities].tolist()))
-    return FStatistics(freq=freq, n=int(t.pos.sum()), c=sum(freq.values()))
+    return FStatistics(freq=freq, n=int(t.pos.sum()))
 
 
 def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
     """Fingerprint of error discoveries over the prefix votes[0:upto_seq)."""
     return fstats_from_tally(tally(log, upto_seq))
+
+
+@contextmanager
+def _open_utf8(path, newline=None):
+    """Open path as UTF-8 text; a decode error names the first line that fails.
+
+    The decoder's message gives an offset inside a read chunk, so the file
+    is re-scanned in binary; splitlines ends lines where text mode does.
+    """
+    with open(path, newline=newline, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = (text for chunk in raw for text in chunk.splitlines())
+                for line, text in enumerate(lines, 1):
+                    try:
+                        text.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        message = f"byte {text[exc.start]:#04x} is not valid UTF-8"
+                        raise MalformedInputError(message, line) from None
+            raise
 
 
 def _csv_records(reader) -> Iterator[tuple[int, list[str]]]:
@@ -228,7 +253,7 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     universe size is supplied out of band. Contract errors name the
     offending line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path, newline="") as fh:
         records = _csv_records(csv.reader(fh, strict=True))
         _, header = next(records, (1, None))
         if header is None:
@@ -253,7 +278,7 @@ def write_votes_csv(log: VoteLog, path) -> None:
 def read_truth_csv(path, item_count: int) -> frozenset[int]:
     """Load the true-dirty item set, one item_id per line."""
     items = set()
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for line_no, raw in enumerate(fh, 1):
             text = raw.strip()
             if not text:

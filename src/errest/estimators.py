@@ -131,26 +131,24 @@ def chao92(f: FStatistics, universe: int | None = None) -> EstimatorOutput:
 
 
 def vchao92(
-    t: TallyState, f: FStatistics, shift: int = 1, universe: int | None = None
+    f: FStatistics, c_majority: int, shift: int = 1, universe: int | None = None
 ) -> EstimatorOutput:
     """Voting- and shift-hardened variant of the coverage estimate.
 
-    The distinct count is the strict-majority count rather than the
-    nominal one, and the fingerprint is shifted by `shift` so that
-    f_{1+shift} plays the singleton role: items need more corroboration
-    before they steer the estimate. The effective sample size drops the
-    votes absorbed by the discarded low end. The skew correction reuses
-    the unshifted fingerprint's coefficient of variation, so with
-    shift=0 and equal distinct counts this reduces to the plain
-    coverage estimate. Raises InsufficientDataError when the shift
-    consumes the whole sample.
+    The distinct count is c_majority, the strict-majority count of the
+    prefix behind f, rather than the nominal one, and the fingerprint is
+    shifted by `shift` so that f_{1+shift} plays the singleton role:
+    items need more corroboration before they steer the estimate. The
+    effective sample size drops the votes absorbed by the discarded low
+    end. The skew correction reuses the unshifted fingerprint's
+    coefficient of variation, so with shift=0 and c_majority = f.c this
+    reduces to the plain coverage estimate. Raises InsufficientDataError
+    when the shift consumes the whole sample.
     """
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
-    c_majority = majority(t)
     n_shifted = f.n - sum(fj for j, fj in f.freq.items() if j <= shift)
     if n_shifted <= 0:
         raise InsufficientDataError(f"shift {shift} leaves no effective sample (n={f.n})")
-    freq = {j - shift: fj for j, fj in f.freq.items() if j > shift}
-    shifted = FStatistics(freq=freq, n=n_shifted, c=sum(freq.values()))
+    shifted = FStatistics({j - shift: fj for j, fj in f.freq.items() if j > shift}, n_shifted)
     return _chao_form(c_majority, shifted, f, universe)

@@ -10,7 +10,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import MalformedInputError, _csv_records
+from .core import MalformedInputError, _csv_records, _open_utf8
 
 __all__ = [
     "RecordTable",
@@ -66,7 +66,7 @@ def read_records_csv(path) -> RecordTable:
     ids = []
     fields = []
     lines = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path, newline="") as fh:
         records = _csv_records(csv.reader(fh, strict=True))
         _, header = next(records, (1, None))
         if header is None:
@@ -90,9 +90,9 @@ def read_records_csv(path) -> RecordTable:
         raise MalformedInputError(str(exc), lines[exc.position]) from None
 
 
-def normalize_fields(fields: Sequence[str], sep: str = " ") -> str:
-    """Lowercase, collapse whitespace, and join fields with a separator."""
-    return sep.join(" ".join(f.split()) for f in fields).lower()
+def normalize_fields(fields: Sequence[str]) -> str:
+    """Lowercase, collapse whitespace, and join fields with single spaces."""
+    return " ".join(" ".join(f.split()) for f in fields).lower()
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -132,13 +132,13 @@ def edit_distance(a: str, b: str) -> int:
     return dist
 
 
-def similarity(a: Sequence[str], b: Sequence[str], sep: str = " ") -> float:
+def similarity(a: Sequence[str], b: Sequence[str]) -> float:
     """Normalized edit-distance similarity of two records, in [0, 1].
 
     1 - distance / max-length over the normalized field concatenations;
     symmetric, and 1.0 for two empty records.
     """
-    na, nb = normalize_fields(a, sep), normalize_fields(b, sep)
+    na, nb = normalize_fields(a), normalize_fields(b)
     longest = max(len(na), len(nb))
     if longest == 0:
         return 1.0

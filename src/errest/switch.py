@@ -62,7 +62,6 @@ class SwitchEvent:
     """
 
     item_id: int
-    seq: int
     direction: Direction
     multiplicity: int
 
@@ -107,81 +106,66 @@ def _bump(freq: dict[int, int], old: int) -> None:
 class SwitchReplay:
     """Incremental single-pass switch detector over an arriving vote stream.
 
-    Each vote updates the per-item counts, at most one event and the
-    one-sided fingerprints in O(1), so a snapshot only copies state.
+    Each vote updates the per-item counts pos/neg, at most one event and
+    the one-sided fingerprints in O(1), so a snapshot only copies state.
+    An item's consensus label is the direction of its latest event.
     """
 
     def __init__(self, item_count: int):
         self.item_count = item_count
-        self._pos = np.zeros(item_count, dtype=np.int64)
-        self._neg = np.zeros(item_count, dtype=np.int64)
-        self._dirty = np.zeros(item_count, dtype=bool)
-        self._latest = np.full(item_count, -1, dtype=np.int64)
+        self.pos = np.zeros(item_count, dtype=np.int64)
+        self.neg = np.zeros(item_count, dtype=np.int64)
+        self._latest: dict[int, int] = {}  # item -> index of its latest event
         self._events: list[SwitchEvent] = []
-        self._f_pos: dict[int, int] = {}
-        self._f_neg: dict[int, int] = {}
-        self._total_votes = 0
-        self._noops = 0
+        self._f: dict[Direction, dict[int, int]] = {d: {} for d in Direction}
+        self._n_switch = 0
 
-    def apply(self, item_id: int, dirty: bool, seq: int) -> bool:
+    def apply(self, item_id: int, dirty: bool) -> bool:
         """Fold in one vote; returns True when it flips the consensus."""
-        if dirty:
-            self._pos[item_id] += 1
-        else:
-            self._neg[item_id] += 1
-        self._total_votes += 1
-        pos, neg = self._pos[item_id], self._neg[item_id]
-        flips = (pos + neg == 1 and dirty) or (pos == neg)
-        latest = self._latest[item_id]
+        (self.pos if dirty else self.neg)[item_id] += 1
+        pos, neg = self.pos.item(item_id), self.neg.item(item_id)
+        latest = self._latest.get(item_id)
+        flips = pos == neg or (pos + neg == 1 and dirty)
         if flips:
-            now_dirty = not self._dirty[item_id]
-            self._dirty[item_id] = now_dirty
+            # Before its first flip an item is clean, as after a negative one.
+            clean = latest is None or self._events[latest].direction is Direction.NEGATIVE
+            direction = Direction.POSITIVE if clean else Direction.NEGATIVE
             self._latest[item_id] = len(self._events)
-            direction = Direction.POSITIVE if now_dirty else Direction.NEGATIVE
-            self._events.append(SwitchEvent(item_id, seq, direction, 1))
-            _bump(self._f_pos if now_dirty else self._f_neg, 0)
-        elif latest >= 0:
+            self._events.append(SwitchEvent(item_id, direction, 1))
+            _bump(self._f[direction], 0)
+        elif latest is not None:
             e = self._events[latest]
-            self._events[latest] = SwitchEvent(
-                e.item_id, e.seq, e.direction, e.multiplicity + 1
-            )
-            positive = e.direction is Direction.POSITIVE
-            _bump(self._f_pos if positive else self._f_neg, e.multiplicity)
+            self._events[latest] = SwitchEvent(item_id, e.direction, e.multiplicity + 1)
+            _bump(self._f[e.direction], e.multiplicity)
         else:
-            self._noops += 1
+            return False  # a no-op: the item has not switched yet
+        self._n_switch += 1
         return flips
 
     def snapshot(self) -> SwitchStats:
         return SwitchStats(
             events=tuple(self._events),
             c_switch=len(self._events),
-            f_pos=dict(self._f_pos),
-            f_neg=dict(self._f_neg),
-            n_switch=self._total_votes - self._noops,
+            f_pos=dict(self._f[Direction.POSITIVE]),
+            f_neg=dict(self._f[Direction.NEGATIVE]),
+            n_switch=self._n_switch,
         )
 
     @property
-    def pos(self) -> np.ndarray:
-        """Per-item dirty-vote counts so far; treat as read-only."""
-        return self._pos
-
-    @property
-    def neg(self) -> np.ndarray:
-        """Per-item clean-vote counts so far; treat as read-only."""
-        return self._neg
-
-    @property
     def consensus_dirty(self) -> np.ndarray:
-        return self._dirty
+        """Per-item consensus labels, True where the latest event is positive."""
+        dirty = np.zeros(self.item_count, dtype=bool)
+        for item_id, k in self._latest.items():
+            dirty[item_id] = self._events[k].direction is Direction.POSITIVE
+        return dirty
 
 
 def replay_switches(log: VoteLog, upto_seq: int | None = None) -> SwitchStats:
     """Detect all switch events in the prefix votes[0:upto_seq)."""
-    upto = len(log) if upto_seq is None else upto_seq
     replay = SwitchReplay(log.item_count)
-    votes = zip(log.item_ids[:upto].tolist(), log.dirty[:upto].tolist())
-    for seq, (item_id, dirty) in enumerate(votes):
-        replay.apply(item_id, dirty, seq)
+    votes = zip(log.item_ids[:upto_seq].tolist(), log.dirty[:upto_seq].tolist())
+    for item_id, dirty in votes:
+        replay.apply(item_id, dirty)
     return replay.snapshot()
 
 
@@ -194,11 +178,9 @@ def switch_fstats(stats: SwitchStats, direction: Direction | None = None) -> FSt
     """
     if direction is None:
         freq = stats.f_prime
-    elif direction is Direction.POSITIVE:
-        freq = stats.f_pos
     else:
-        freq = stats.f_neg
-    return FStatistics(freq=freq, n=stats.n_switch, c=sum(freq.values()))
+        freq = stats.f_pos if direction is Direction.POSITIVE else stats.f_neg
+    return FStatistics(freq=freq, n=stats.n_switch)
 
 
 def d_switch(f: FStatistics, universe: int | None = None) -> EstimatorOutput:

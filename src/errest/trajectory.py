@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .core import TallyState, VoteLog, fstats_from_tally
-from .estimators import InsufficientDataError, chao92, majority, nominal, vchao92
+from .estimators import InsufficientDataError, chao92, majority, vchao92
 from .sim import GroundTruth
 from .switch import (
     Direction,
@@ -99,34 +99,27 @@ def evaluate_trajectory(
     item_ids = log.item_ids.tolist()
     dirty = log.dirty.tolist()
     for task_index, (_, start, end) in enumerate(log.tasks):
-        for seq in range(start, end):
-            replay.apply(item_ids[seq], dirty[seq], seq)
-        flags: list[str] = []
+        for k in range(start, end):
+            replay.apply(item_ids[k], dirty[k])
 
         m = majority(tally_state)
         majority_history.append(m)
         fstats = fstats_from_tally(tally_state)
-
         chao = chao92(fstats, universe=n)
-        for marker in chao.flags:
-            flags.append(f"chao92_total:{marker}")
-
         try:
-            vest = vchao92(tally_state, fstats, shift=shift, universe=n)
-            vchao_total = vest.total_errors_hat
-            for marker in vest.flags:
-                flags.append(f"vchao92_total:{marker}")
+            vest = vchao92(fstats, m, shift=shift, universe=n)
+            vchao_total, vchao_flags = vest.total_errors_hat, vest.flags
         except InsufficientDataError:
-            vchao_total = None
-            flags.append("vchao92_total:insufficient-data")
+            vchao_total, vchao_flags = None, ("insufficient-data",)
 
         stats = replay.snapshot()
         xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
         xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
-        for column, remaining in (("xi_pos", xi_pos), ("xi_neg", xi_neg)):
-            flags.extend(f"{column}:{marker}" for marker in remaining.flags)
         trend = trend_from_history(majority_history, trend_window)
         total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, trend, n)
+        named = zip(("chao92_total", "vchao92_total", "xi_pos", "xi_neg"),
+                    (chao.flags, vchao_flags, xi_pos.flags, xi_neg.flags))
+        flags = tuple(f"{column}:{marker}" for column, ms in named for marker in ms)
 
         truth_count = truth_xi_pos = truth_xi_neg = None
         if truth is not None:
@@ -136,7 +129,7 @@ def evaluate_trajectory(
         rows.append(
             TrajectoryRow(
                 task_index=task_index,
-                nominal=nominal(tally_state),
+                nominal=fstats.c,
                 majority=m,
                 chao92_total=chao.total_errors_hat,
                 vchao92_total=vchao_total,
@@ -145,7 +138,7 @@ def evaluate_trajectory(
                 xi_neg=xi_neg.remaining_hat,
                 coverage_hat=chao.coverage_hat,
                 truth=truth_count,
-                flags=tuple(flags),
+                flags=flags,
                 truth_xi_pos=truth_xi_pos,
                 truth_xi_neg=truth_xi_neg,
             )

@@ -128,7 +128,7 @@ def counter_fstats(t):
     """Discovery fingerprint of a tally, counted one item at a time."""
     counts = t.pos[t.pos > 0]
     freq = Counter(int(x) for x in counts)
-    return FStatistics(freq=freq, n=int(t.pos.sum()), c=int(len(counts)))
+    return FStatistics(freq=freq, n=int(t.pos.sum()))
 
 
 def brute_force_tally(log, upto):

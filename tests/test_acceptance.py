@@ -38,14 +38,14 @@ def report(criterion, passed, detail):
 
 
 def test_criterion_1_worked_examples():
-    f1 = FStatistics(freq={1: 30, 2: 9, 3: 44}, n=180, c=83)
+    f1 = FStatistics(freq={1: 30, 2: 9, 3: 44}, n=180)
     out1 = chao92(f1)
     ok1 = (
         out1.cv2_hat == 0.0
         and abs(out1.remaining_hat - 16.6) <= 1e-9 * 16.6
         and abs(out1.total_errors_hat - 99.6) <= 1e-9 * 99.6
     )
-    f2 = FStatistics(freq={1: 46, 2: 6, 3: 50}, n=208, c=102)
+    f2 = FStatistics(freq={1: 46, 2: 6, 3: 50}, n=208)
     out2 = chao92(f2)
     expected2 = 102 * 208 / 162
     ok2 = out2.cv2_hat == 0.0 and abs(out2.total_errors_hat - expected2) <= 1e-9 * expected2
@@ -158,9 +158,8 @@ def test_criterion_6_convergence():
     for trial in range(100):
         log = random_log(rng, max_items=8, max_votes_per_item=8)
         replay = SwitchReplay(log.item_count)
-        for seq, (item, dirty) in enumerate(log_votes(log)):
-            replay.apply(item, dirty, seq)
-        seq = len(log)
+        for item, dirty in log_votes(log):
+            replay.apply(item, dirty)
 
         def xi_all():
             stats = replay.snapshot()
@@ -183,9 +182,8 @@ def test_criterion_6_convergence():
                     lab = D
                 else:
                     lab = C
-                flipped = replay.apply(item, lab, seq)
+                flipped = replay.apply(item, lab)
                 assert not flipped, "a consensus-confirming vote must never flip"
-                seq += 1
             xi, settled = xi_all()
             if settled_seen and prev is not None and xi > prev + 1e-9:
                 violations.append((trial, step, prev, xi))

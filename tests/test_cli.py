@@ -148,6 +148,23 @@ class TestEstimate:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("where", ["votes", "truth"])
+    def test_non_utf8_file_exit_2_name_line(self, tmp_path, capsys, where):
+        # the bad byte lies past the decoder's first chunk, so its offset is no line number
+        rows = "".join(f"{k},w{k},{k},1\r\n" for k in range(900))
+        votes = tmp_path / "votes.csv"
+        truth = tmp_path / "truth.csv"
+        votes.write_bytes(b"task_id,worker_id,item_id,label\r\n" + rows.encode())
+        truth.write_bytes("\r\n".join(map(str, range(900))).encode() + b"\r\n")
+        bad = votes if where == "votes" else truth
+        bad.write_bytes(bad.read_bytes() + b"7,\xff,8,1\r\n")
+        code = main(["estimate", str(votes), "--n-items", "900", "--truth", str(truth)])
+        captured = capsys.readouterr()
+        assert code == 2
+        line = 902 if where == "votes" else 901
+        assert f"line {line}: byte 0xff is not valid UTF-8" in captured.err
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])
 def test_out_of_memory_exit_2(tmp_path, capsys, monkeypatch, command):
@@ -347,6 +364,15 @@ class TestPairs:
         captured = capsys.readouterr()
         assert code == 2
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_non_utf8_records_exit_2_name_line(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_bytes(b'record_id,name\na,"two\nlines"\nb,caf\xe9\n')
+        code = main(["pairs", str(records), "--alpha", "0.1", "--beta", "0.9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "line 4: byte 0xe9 is not valid UTF-8" in captured.err
         assert captured.out == ""
 
     def test_bad_thresholds_exit_2(self, tmp_path):

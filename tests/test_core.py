@@ -196,16 +196,12 @@ class TestVoteLogValidation:
 
 class TestFStatisticsType:
     def test_zero_entries_dropped(self):
-        f = FStatistics(freq={1: 2, 3: 0}, n=2, c=2)
+        f = FStatistics(freq={1: 2, 3: 0}, n=2)
         assert f.freq == {1: 2}
-
-    def test_c_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            FStatistics(freq={1: 2}, n=2, c=3)
 
     def test_bad_multiplicity_rejected(self):
         with pytest.raises(ValueError):
-            FStatistics(freq={0: 1}, n=0, c=1)
+            FStatistics(freq={0: 1}, n=0)
 
 
 def assert_same_columns(a, b):

@@ -27,9 +27,8 @@ def random_fingerprint(rng, max_mult=6, max_classes=20):
         fj = int(rng.integers(0, max_classes))
         if fj:
             freq[j] = fj
-    c = sum(freq.values())
     n = sum(j * fj for j, fj in freq.items())
-    return FStatistics(freq=freq, n=n, c=c)
+    return FStatistics(freq=freq, n=n)
 
 
 class TestDescriptive:
@@ -73,60 +72,60 @@ class TestExtrapolate:
 
 class TestCoverage:
     def test_worked_example(self):
-        f = FStatistics(freq={1: 30, 2: 9, 3: 44}, n=180, c=83)
+        f = FStatistics(freq={1: 30, 2: 9, 3: 44}, n=180)
         assert coverage(f) == pytest.approx(5 / 6, rel=1e-12)
 
     def test_no_singletons(self):
-        assert coverage(FStatistics(freq={2: 5}, n=10, c=5)) == 1.0
+        assert coverage(FStatistics(freq={2: 5}, n=10)) == 1.0
 
     def test_empty_sample(self):
-        assert coverage(FStatistics(freq={}, n=0, c=0)) == 1.0
+        assert coverage(FStatistics(freq={}, n=0)) == 1.0
 
 
 class TestCv2:
     def test_flat_fingerprint(self):
-        assert cv2(FStatistics(freq={1: 2, 2: 1}, n=4, c=3), 6.0) == 0.0
+        assert cv2(FStatistics(freq={1: 2, 2: 1}, n=4), 6.0) == 0.0
 
     def test_singletons_only(self):
-        assert cv2(FStatistics(freq={1: 4}, n=4, c=4), 2.0) == 0.0
+        assert cv2(FStatistics(freq={1: 4}, n=4), 2.0) == 0.0
 
     def test_single_tripleton(self):
-        assert cv2(FStatistics(freq={3: 1}, n=3, c=1), 1.0) == 0.0
+        assert cv2(FStatistics(freq={3: 1}, n=3), 1.0) == 0.0
 
     def test_small_sample_returns_zero(self):
-        assert cv2(FStatistics(freq={1: 1}, n=1, c=1), 5.0) == 0.0
+        assert cv2(FStatistics(freq={1: 1}, n=1), 5.0) == 0.0
 
 
 class TestChao92:
     def test_worked_example_one(self):
-        f = FStatistics(freq={1: 30, 2: 9, 3: 44}, n=180, c=83)
+        f = FStatistics(freq={1: 30, 2: 9, 3: 44}, n=180)
         out = chao92(f)
         assert out.cv2_hat == 0.0
         assert out.total_errors_hat == pytest.approx(99.6, rel=1e-9)
         assert out.remaining_hat == pytest.approx(16.6, rel=1e-9)
 
     def test_worked_example_two(self):
-        f = FStatistics(freq={1: 46, 2: 6, 3: 50}, n=208, c=102)
+        f = FStatistics(freq={1: 46, 2: 6, 3: 50}, n=208)
         out = chao92(f)
         assert out.cv2_hat == 0.0
         assert out.total_errors_hat == pytest.approx(21216 / 162, rel=1e-9)
 
     def test_full_coverage_returns_observed(self):
-        f = FStatistics(freq={2: 4, 3: 1}, n=11, c=5)
+        f = FStatistics(freq={2: 4, 3: 1}, n=11)
         assert chao92(f).total_errors_hat == pytest.approx(5.0)
 
     def test_empty_sample(self):
-        out = chao92(FStatistics(freq={}, n=0, c=0))
+        out = chao92(FStatistics(freq={}, n=0))
         assert out.total_errors_hat == 0.0 and out.coverage_hat == 1.0
 
     def test_zero_coverage_capped_at_universe(self):
-        f = FStatistics(freq={1: 3}, n=3, c=3)
+        f = FStatistics(freq={1: 3}, n=3)
         out = chao92(f, universe=50)
         assert out.total_errors_hat == 50.0
         assert LOW_COVERAGE in out.flags
 
     def test_zero_coverage_without_universe_is_infinite(self):
-        out = chao92(FStatistics(freq={1: 3}, n=3, c=3))
+        out = chao92(FStatistics(freq={1: 3}, n=3))
         assert math.isinf(out.total_errors_hat)
         assert LOW_COVERAGE in out.flags
 
@@ -145,40 +144,40 @@ class TestChao92:
 class TestVChao92:
     def test_shifted_derived_example(self):
         t = tally_of([3, 2, 0, 0, 0], [0, 0, 1, 0, 0])  # c_majority = 2
-        f = FStatistics(freq={1: 4, 2: 2, 3: 1}, n=11, c=7)
-        out = vchao92(t, f, shift=1)
+        f = FStatistics(freq={1: 4, 2: 2, 3: 1}, n=11)
+        out = vchao92(f, majority(t), shift=1)
         assert out.total_errors_hat == pytest.approx(2.8, rel=1e-9)
         assert out.coverage_hat == pytest.approx(5 / 7, rel=1e-12)
 
     def test_shift_zero_equals_chao92_when_counts_agree(self):
         # every marked item also holds a strict majority
         t = tally_of([2, 1, 0], [0, 0, 0])
-        f = FStatistics(freq={1: 1, 2: 1}, n=3, c=2)
-        assert vchao92(t, f, shift=0).total_errors_hat == pytest.approx(
+        f = FStatistics(freq={1: 1, 2: 1}, n=3)
+        assert vchao92(f, majority(t), shift=0).total_errors_hat == pytest.approx(
             chao92(f).total_errors_hat
         )
 
     def test_vanishing_shifted_singletons(self):
         t = tally_of([1, 1, 1], [0, 0, 0])
-        f = FStatistics(freq={1: 2, 3: 1}, n=5, c=3)  # f_2 = 0
-        assert vchao92(t, f, shift=1).total_errors_hat == pytest.approx(3.0)
+        f = FStatistics(freq={1: 2, 3: 1}, n=5)  # f_2 = 0
+        assert vchao92(f, majority(t), shift=1).total_errors_hat == pytest.approx(3.0)
 
     def test_exhausted_sample_raises(self):
         t = tally_of([1], [0])
-        f = FStatistics(freq={1: 2}, n=2, c=2)
+        f = FStatistics(freq={1: 2}, n=2)
         with pytest.raises(InsufficientDataError):
-            vchao92(t, f, shift=1)
+            vchao92(f, majority(t), shift=1)
 
     def test_shift_past_largest_multiplicity_is_constant(self):
         t = tally_of([3, 2, 0, 0, 0], [0, 0, 1, 0, 0])
-        f = FStatistics(freq={1: 4, 2: 2, 3: 1}, n=11, c=7)
-        assert vchao92(t, f, shift=10**12) == vchao92(t, f, shift=3)
+        f = FStatistics(freq={1: 4, 2: 2, 3: 1}, n=11)
+        assert vchao92(f, majority(t), shift=10**12) == vchao92(f, majority(t), shift=3)
 
     def test_negative_shift_rejected(self):
         t = tally_of([1], [0])
-        f = FStatistics(freq={1: 1}, n=1, c=1)
+        f = FStatistics(freq={1: 1}, n=1)
         with pytest.raises(ValueError):
-            vchao92(t, f, shift=-1)
+            vchao92(f, majority(t), shift=-1)
 
     def test_shift_monotonicity_probe(self):
         """Probe: is the estimate non-increasing in the shift?
@@ -201,14 +200,13 @@ class TestVChao92:
             f = FStatistics(
                 freq=freq,
                 n=sum(j * fj for j, fj in freq.items()),
-                c=sum(freq.values()),
             )
             c_maj = int(rng.integers(0, f.c + 1))
             t = tally_of([1] * c_maj + [0] * 3, [0] * c_maj + [0] * 3)
             outs = []
             for s in (0, 1, 2):
                 try:
-                    out = vchao92(t, f, shift=s, universe=10_000)
+                    out = vchao92(f, majority(t), shift=s, universe=10_000)
                 except InsufficientDataError:
                     out = None
                 outs.append(out)

@@ -68,8 +68,8 @@ class TestReplayExamples:
         stats = replay_switches(log)
         assert stats.c_switch == 2
         replay = SwitchReplay(1)
-        for seq, (item, dirty) in enumerate(log_votes(log)):
-            replay.apply(item, dirty, seq)
+        for item, dirty in log_votes(log):
+            replay.apply(item, dirty)
         assert not replay.consensus_dirty[0]
 
     def test_prefix_argument(self):
@@ -171,7 +171,7 @@ class TestIncrementalFingerprints:
         votes = log_votes(log)
         for upto in range(len(log) + 1):
             if upto:
-                replay.apply(*votes[upto - 1], upto - 1)
+                replay.apply(*votes[upto - 1])
             stats = replay.snapshot()
             oracle_events, _, n_switch = consensus_oracle(log, upto)
             for direction, positive in ((Direction.POSITIVE, True), (Direction.NEGATIVE, False)):
@@ -191,27 +191,43 @@ class TestIncrementalFingerprints:
             assert stats.n_switch == n_switch
 
 
+class TestConsensusLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(vote_logs())
+    def test_labels_and_flips_equal_oracle_at_every_prefix(self, log):
+        replay = SwitchReplay(log.item_count)
+        assert not replay.consensus_dirty.any()
+        n_events = 0
+        for upto, vote in enumerate(log_votes(log), 1):
+            flipped = replay.apply(*vote)
+            events, labels, _ = consensus_oracle(log, upto)
+            assert flipped == (len(events) > n_events)
+            n_events = len(events)
+            expected = [labels.get(item, False) for item in range(log.item_count)]
+            assert replay.consensus_dirty.tolist() == expected
+
+
 class TestDSwitch:
     def test_hand_arithmetic(self):
-        f = FStatistics(freq={1: 1, 3: 1}, n=4, c=2)
+        f = FStatistics(freq={1: 1, 3: 1}, n=4)
         out = d_switch(f)
         assert out.coverage_hat == pytest.approx(3 / 4)
         assert out.cv2_hat == pytest.approx(1 / 3, rel=1e-9)
         assert out.total_errors_hat == pytest.approx(28 / 9, rel=1e-9)
 
     def test_no_singletons_returns_observed(self):
-        f = FStatistics(freq={2: 3}, n=6, c=3)
+        f = FStatistics(freq={2: 3}, n=6)
         assert d_switch(f).total_errors_hat == pytest.approx(3.0)
 
     def test_empty_stats(self):
-        assert d_switch(FStatistics(freq={}, n=0, c=0)).total_errors_hat == 0.0
+        assert d_switch(FStatistics(freq={}, n=0)).total_errors_hat == 0.0
 
     def test_events_without_sample_raise(self):
         with pytest.raises(InsufficientDataError):
-            d_switch(FStatistics(freq={1: 1}, n=0, c=1))
+            d_switch(FStatistics(freq={1: 1}, n=0))
 
     def test_zero_coverage_cap(self):
-        out = d_switch(FStatistics(freq={1: 2}, n=2, c=2), universe=9)
+        out = d_switch(FStatistics(freq={1: 2}, n=2), universe=9)
         assert out.total_errors_hat == 9.0 and LOW_COVERAGE in out.flags
 
 
@@ -246,13 +262,10 @@ class TestRemainingSwitches:
 
 def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
     events = []
-    seq = 0
     for m in mults_pos:
-        events.append(SwitchEvent(len(events), seq, Direction.POSITIVE, m))
-        seq += 1
+        events.append(SwitchEvent(len(events), Direction.POSITIVE, m))
     for m in mults_neg:
-        events.append(SwitchEvent(len(events), seq, Direction.NEGATIVE, m))
-        seq += 1
+        events.append(SwitchEvent(len(events), Direction.NEGATIVE, m))
     freqs = {Direction.POSITIVE: {}, Direction.NEGATIVE: {}}
     for e in events:
         freq = freqs[e.direction]
@@ -301,21 +314,19 @@ class TestSwitchTotalErrors:
 class TestConvergenceMechanics:
     """The parts of the confirmation-convergence story that do hold."""
 
-    def append_confirming_round(self, replay, seq):
+    def append_confirming_round(self, replay):
         for item in range(replay.item_count):
-            flipped = replay.apply(item, confirming_label(replay, item), seq)
+            flipped = replay.apply(item, confirming_label(replay, item))
             assert not flipped
-            seq += 1
-        return seq
 
     def test_latest_events_stop_being_singletons(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             log = random_log(rng)
             replay = SwitchReplay(log.item_count)
-            for seq, (item, dirty) in enumerate(log_votes(log)):
-                replay.apply(item, dirty, seq)
-            seq = self.append_confirming_round(replay, len(log))
+            for item, dirty in log_votes(log):
+                replay.apply(item, dirty)
+            self.append_confirming_round(replay)
             latest = {}
             for e in replay.snapshot().events:
                 latest[e.item_id] = e
@@ -326,12 +337,11 @@ class TestConvergenceMechanics:
         for _ in range(30):
             log = random_log(rng)
             replay = SwitchReplay(log.item_count)
-            for seq, (item, dirty) in enumerate(log_votes(log)):
-                replay.apply(item, dirty, seq)
-            seq = len(log)
+            for item, dirty in log_votes(log):
+                replay.apply(item, dirty)
             prev = None
             for _ in range(10):
-                seq = self.append_confirming_round(replay, seq)
+                self.append_confirming_round(replay)
                 f = switch_fstats(replay.snapshot())
                 if f.c == 0:
                     break
