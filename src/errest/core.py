@@ -10,6 +10,7 @@ dirty exactly once, exactly twice, ...).
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -226,33 +227,8 @@ def _parse_id(text: str, what: str, line: int) -> int:
     raise MalformedInputError(f"{what} {text!r} is not an integer", line)
 
 
-def _parse_votes(records: Iterable[tuple[int, Sequence[str]]]) -> tuple[tuple, ...]:
-    """Parse (line, row) records into (item_ids, dirty, worker_ids, task_ids, lines).
-
-    lines holds each vote's source line. Checks only the row format;
-    VoteLog checks the log contract.
-    """
-    parsed = []
-    for line, row in records:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 4:
-            raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
-        task_id, worker_id, item_s, label_s = (col.strip() for col in row)
-        item_id = _parse_id(item_s, "item_id", line)
-        if label_s not in ("0", "1"):
-            raise MalformedInputError(f"label {label_s!r} must be 0 or 1", line)
-        parsed.append((item_id, label_s == "1", worker_id, task_id, line))
-    return tuple(zip(*parsed)) if parsed else ((),) * 5
-
-
-def read_votes_csv(path, item_count: int) -> VoteLog:
-    """Load a vote log from CSV (header task_id,worker_id,item_id,label).
-
-    Row order is arrival order; rows must be grouped by task. The item
-    universe size is supplied out of band. Contract errors name the
-    offending line.
-    """
+def _vote_lines(path) -> list[int]:
+    """Re-scan a votes CSV row by row for each vote's line; raises naming the first bad line."""
     with _open_utf8(path, newline="") as fh:
         records = _csv_records(csv.reader(fh, strict=True))
         _, header = next(records, (1, None))
@@ -260,10 +236,48 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
             raise MalformedInputError("missing header row", 1)
         if [h.strip() for h in header] != VOTES_CSV_HEADER:
             raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
-        item_ids, dirty, worker_ids, task_ids, lines = _parse_votes(records)
+        lines = []
+        for line, row in records:
+            if len(row) > 1 or row and row[0].strip():
+                if len(row) != 4:
+                    raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
+                _parse_id(row[2].strip(), "item_id", line)
+                if (label := row[3].strip()) not in ("0", "1"):
+                    raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
+                lines.append(line)
+    return lines
+
+
+def read_votes_csv(path, item_count: int) -> VoteLog:
+    """Load a vote log from CSV (header task_id,worker_id,item_id,label).
+
+    Row order is arrival order; rows must be grouped by task. The item
+    universe size is supplied out of band. The rows are checked a column
+    at a time; when a check fails, a re-scan names the offending line.
+    """
+    with _open_utf8(path, newline="") as fh:
+        reader = csv.reader(fh, strict=True)
+        try:
+            header = next(reader, None)
+            rows = list(filter(None, reader))  # an empty line is an empty row
+        except csv.Error:
+            header = rows = None
     try:
-        return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
-    except MalformedInputError as exc:
+        if header is None or [h.strip() for h in header] != VOTES_CSV_HEADER:
+            raise ValueError("header")
+        if {*map(len, rows)} - {4}:  # drop the blank rows that hold spaces, then recheck
+            rows = [row for row in rows if len(row) > 1 or row[0].strip()]
+            if {*map(len, rows)} - {4}:
+                raise ValueError("row length")
+        cells = list(map(str.strip, chain.from_iterable(rows)))
+        task_ids, worker_ids, id_texts, labels = (tuple(cells[k::4]) for k in range(4))
+        joined = "".join(id_texts)
+        if not joined.isascii() or "_" in joined or not {*labels} <= {"0", "1"}:
+            raise ValueError("id or label")
+        dirty = np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels))
+        return VoteLog(list(map(int, id_texts)), dirty, worker_ids, task_ids, item_count)
+    except ValueError as exc:  # the re-scan raises on any row-format error
+        lines = _vote_lines(path)  # so here exc is VoteLog's contract error
         raise MalformedInputError(str(exc), lines[exc.position]) from None
 
 
@@ -276,18 +290,26 @@ def write_votes_csv(log: VoteLog, path) -> None:
 
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:
-    """Load the true-dirty item set, one item_id per line."""
-    items = set()
+    """Load the true-dirty item set, one item_id per line; a failed check walks the lines."""
     with _open_utf8(path) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            text = raw.strip()
-            if not text:
-                continue
+        lines = fh.read().split("\n")  # not splitlines: that also ends lines at \x0c and others
+    entries = list(filter(None, map(str.strip, lines)))
+    joined = "".join(entries)
+    if joined.isascii() and "_" not in joined:
+        try:
+            items = frozenset(map(int, entries))
+            if not items or min(items) >= 0 and max(items) < item_count:
+                return items
+        except ValueError:
+            pass
+    items = set()
+    for line_no, raw in enumerate(lines, 1):
+        text = raw.strip()
+        if text:
             item_id = _parse_id(text, "truth entry", line_no)
             if not 0 <= item_id < item_count:
-                raise MalformedInputError(
-                    f"truth item {item_id} outside universe [0, {item_count})", line_no
-                )
+                message = f"truth item {item_id} outside universe [0, {item_count})"
+                raise MalformedInputError(message, line_no)
             items.add(item_id)
     return frozenset(items)
 

@@ -17,12 +17,14 @@ path, and the gap between the estimate and the observed event count is
 the number of consensus flips still expected.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import FStatistics, VoteLog
+from .core import FStatistics, MalformedInputError, VoteLog
 from .estimators import EstimatorOutput, InsufficientDataError, chao92
 
 __all__ = [
@@ -53,8 +55,7 @@ class Trend(Enum):
     FLAT = "flat"
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(NamedTuple):
     """One consensus flip and the votes that re-confirmed it.
 
     multiplicity counts the flipping vote itself plus every later vote
@@ -104,43 +105,65 @@ def _bump(freq: dict[int, int], old: int) -> None:
 
 
 class SwitchReplay:
-    """Incremental single-pass switch detector over an arriving vote stream.
+    """Single-pass switch detector over a log's votes in arrival order.
 
-    Each vote updates the per-item counts pos/neg, at most one event and
-    the one-sided fingerprints in O(1), so a snapshot only copies state.
-    An item's consensus label is the direction of its latest event.
+    The constructor finds once per vote whether it flips its item's
+    consensus or confirms an earlier flip (else it is a no-op). advance
+    folds in a block of votes: pos/neg in O(block), the events and one-sided
+    fingerprints at its flips and confirmations, so a snapshot only copies
+    state. An item's consensus label is the direction of its latest event.
     """
 
-    def __init__(self, item_count: int):
-        self.item_count = item_count
-        self.pos = np.zeros(item_count, dtype=np.int64)
-        self.neg = np.zeros(item_count, dtype=np.int64)
+    def __init__(self, log: VoteLog):
+        self.pos, self.neg = np.zeros((2, log.item_count), dtype=np.int64)
         self._latest: dict[int, int] = {}  # item -> index of its latest event
         self._events: list[SwitchEvent] = []
         self._f: dict[Direction, dict[int, int]] = {d: {} for d in Direction}
-        self._n_switch = 0
+        self._n_switch = self._done = 0
+        self._items, self._dirty = log.item_ids, log.dirty.astype(np.int64)
+        # Running sums per item: cumsums over votes grouped by a stable sort.
+        order = np.argsort(log.item_ids, kind="stable")
+        starts = np.flatnonzero(np.diff(log.item_ids[order], prepend=-1))
+        sizes = np.diff(starts, append=len(order))
 
-    def apply(self, item_id: int, dirty: bool) -> bool:
-        """Fold in one vote; returns True when it flips the consensus."""
-        (self.pos if dirty else self.neg)[item_id] += 1
-        pos, neg = self.pos.item(item_id), self.neg.item(item_id)
-        latest = self._latest.get(item_id)
-        flips = pos == neg or (pos + neg == 1 and dirty)
-        if flips:
-            # Before its first flip an item is clean, as after a negative one.
-            clean = latest is None or self._events[latest].direction is Direction.NEGATIVE
-            direction = Direction.POSITIVE if clean else Direction.NEGATIVE
-            self._latest[item_id] = len(self._events)
-            self._events.append(SwitchEvent(item_id, direction, 1))
-            _bump(self._f[direction], 0)
-        elif latest is not None:
-            e = self._events[latest]
-            self._events[latest] = SwitchEvent(item_id, e.direction, e.multiplicity + 1)
-            _bump(self._f[e.direction], e.multiplicity)
-        else:
-            return False  # a no-op: the item has not switched yet
-        self._n_switch += 1
-        return flips
+        def running(x):
+            total = np.cumsum(x)
+            return total - np.repeat(total[starts] - x[starts], sizes)
+
+        dirty = self._dirty[order]
+        pos, neg = running(dirty), running(1 - dirty)
+        flip = ((pos == neg) | ((pos + neg == 1) & (dirty == 1))).astype(np.int64)
+        active = (flip == 1) | (running(flip) > flip)  # a flip, or a vote after one
+        back = np.argsort(order)  # each vote's position in the grouped order
+        at = np.flatnonzero(active[back])  # the active votes' positions
+        self._at = at.tolist()
+        self._active = list(zip(self._items[at].tolist(), (flip[back][at] == 1).tolist()))
+
+    def advance(self, end: int) -> None:
+        """Fold in the votes [done, end), done being the previous end (0 at first)."""
+        if not 0 <= end <= len(self._items):
+            raise MalformedInputError(f"prefix end {end} outside [0, {len(self._items)}]")
+        if end < self._done:
+            raise ValueError(f"prefix end {end} is before the {self._done} votes replayed")
+        block = slice(self._done, end)
+        np.add.at(self.pos, self._items[block], self._dirty[block])
+        np.add.at(self.neg, self._items[block], 1 - self._dirty[block])
+        first, last = bisect_left(self._at, self._done), bisect_left(self._at, end)
+        for item_id, flips in self._active[first:last]:
+            latest = self._latest.get(item_id)
+            if flips:
+                # Before its first flip an item is clean, as after a negative one.
+                clean = latest is None or self._events[latest].direction is Direction.NEGATIVE
+                direction = Direction.POSITIVE if clean else Direction.NEGATIVE
+                self._latest[item_id] = len(self._events)
+                self._events.append(SwitchEvent(item_id, direction, 1))
+                _bump(self._f[direction], 0)
+            else:  # a confirmation of the item's latest flip
+                e = self._events[latest]
+                self._events[latest] = SwitchEvent(item_id, e.direction, e.multiplicity + 1)
+                _bump(self._f[e.direction], e.multiplicity)
+        self._n_switch += last - first
+        self._done = end
 
     def snapshot(self) -> SwitchStats:
         return SwitchStats(
@@ -154,7 +177,7 @@ class SwitchReplay:
     @property
     def consensus_dirty(self) -> np.ndarray:
         """Per-item consensus labels, True where the latest event is positive."""
-        dirty = np.zeros(self.item_count, dtype=bool)
+        dirty = np.zeros(len(self.pos), dtype=bool)
         for item_id, k in self._latest.items():
             dirty[item_id] = self._events[k].direction is Direction.POSITIVE
         return dirty
@@ -162,10 +185,8 @@ class SwitchReplay:
 
 def replay_switches(log: VoteLog, upto_seq: int | None = None) -> SwitchStats:
     """Detect all switch events in the prefix votes[0:upto_seq)."""
-    replay = SwitchReplay(log.item_count)
-    votes = zip(log.item_ids[:upto_seq].tolist(), log.dirty[:upto_seq].tolist())
-    for item_id, dirty in votes:
-        replay.apply(item_id, dirty)
+    replay = SwitchReplay(log)
+    replay.advance(len(log) if upto_seq is None else upto_seq)
     return replay.snapshot()
 
 

@@ -92,15 +92,12 @@ def evaluate_trajectory(
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     n = log.item_count
-    replay = SwitchReplay(n)
+    replay = SwitchReplay(log)
     tally_state = TallyState(replay.pos, replay.neg)  # live view of the replay's counts
     majority_history: list[int] = []
     rows = []
-    item_ids = log.item_ids.tolist()
-    dirty = log.dirty.tolist()
-    for task_index, (_, start, end) in enumerate(log.tasks):
-        for k in range(start, end):
-            replay.apply(item_ids[k], dirty[k])
+    for task_index, (_, _, end) in enumerate(log.tasks):
+        replay.advance(end)
 
         m = majority(tally_state)
         majority_history.append(m)

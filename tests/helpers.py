@@ -7,11 +7,12 @@ check.
 """
 
 from collections import Counter
+import csv
 
 from hypothesis import strategies as st
 import numpy as np
 
-from errest.core import FStatistics, VoteLog
+from errest.core import FStatistics, MalformedInputError, VoteLog
 
 D, C = True, False  # a vote's `dirty` value
 
@@ -35,6 +36,28 @@ def dirty_mask(truth):
 def log_votes(log, upto=None):
     """The (item_id, dirty) pairs of the prefix [0:upto), as Python values."""
     return list(zip(log.item_ids[:upto].tolist(), log.dirty[:upto].tolist()))
+
+
+def append_task(log, votes):
+    """The log with one more task: the (item, dirty) votes of one new worker."""
+    k = log.task_count
+    items, dirty = zip(*votes)
+    return VoteLog(
+        log.item_ids.tolist() + list(items),
+        log.dirty.tolist() + list(dirty),
+        log.worker_ids + (f"appended-w{k}",) * len(votes),
+        log.task_ids + (f"appended-t{k}",) * len(votes),
+        log.item_count,
+    )
+
+
+def confirming_round(replay):
+    """One vote per item that backs its current consensus and so never flips it."""
+    labels = replay.consensus_dirty
+    return [
+        (item, bool(pos > neg or (pos == neg and labels[item])))
+        for item, (pos, neg) in enumerate(zip(replay.pos.tolist(), replay.neg.tolist()))
+    ]
 
 
 def single_item_log(labels, item_count=1, item=0):
@@ -122,6 +145,132 @@ def task_blocks(task_ids):
             blocks.append((task_ids[start], start, idx))
             start = idx
     return blocks
+
+
+VOTES_HEADER = ["task_id", "worker_id", "item_id", "label"]
+
+
+def _oracle_id(text, what, line):
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise MalformedInputError(f"{what} {text!r} is not an integer", line)
+
+
+def parse_votes_oracle(path):
+    """A votes CSV parsed one row at a time, tracking each record's first line.
+
+    Returns (item_ids, dirty, worker_ids, task_ids, lines), lines holding
+    each vote's source line, or raises MalformedInputError naming the line
+    of the first malformed header, row or CSV record. Checks only the row
+    format; VoteLog checks the log contract.
+    """
+    parsed = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, strict=True)
+        header = None
+        while True:
+            line = reader.line_num + 1  # a quoted field may carry a record over lines
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise MalformedInputError(str(exc), line) from None
+            if header is None:
+                header = row
+                if [h.strip() for h in header] != VOTES_HEADER:
+                    raise MalformedInputError(f"header must be {','.join(VOTES_HEADER)}", 1)
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4:
+                raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
+            task_id, worker_id, item_s, label_s = (col.strip() for col in row)
+            item_id = _oracle_id(item_s, "item_id", line)
+            if label_s not in ("0", "1"):
+                raise MalformedInputError(f"label {label_s!r} must be 0 or 1", line)
+            parsed.append((item_id, label_s == "1", worker_id, task_id, line))
+    if header is None:
+        raise MalformedInputError("missing header row", 1)
+    return tuple(zip(*parsed)) if parsed else ((),) * 5
+
+
+def read_truth_oracle(path, item_count):
+    """A truth file read one line at a time, naming the first bad line."""
+    items = set()
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            text = raw.strip()
+            if not text:
+                continue
+            item_id = _oracle_id(text, "truth entry", line_no)
+            if not 0 <= item_id < item_count:
+                message = f"truth item {item_id} outside universe [0, {item_count})"
+                raise MalformedInputError(message, line_no)
+            items.add(item_id)
+    return frozenset(items)
+
+
+_ODD_IDS = ["1_0", "0_2", "\u0661", "\uff11", "-1", "+1", "x", "", "1 2", "10" * 12, str(10**22)]
+
+
+@st.composite
+def votes_csv_texts(draw, item_count=4):
+    """Hypothesis strategy: votes CSV text, mostly well formed.
+
+    Rows may be blank, padded or carry a multi-line quoted id. Up to two
+    odd rows are inserted: ragged, a bad label, an odd id (1_0, non-ASCII
+    or negative digits, a huge number) or a malformed quote. Few tasks,
+    workers and items, so duplicate votes and split tasks are common.
+    """
+    pad = st.sampled_from(["{}", "{}", " {} ", "{}\t", "\x0c{}"])
+    task = st.sampled_from(["t0", "t1", "t2", '"t\n3"'])
+    worker = st.sampled_from(["w0", "w1", "w2", "w3", "w4", '"w\n\n5"'])
+    item = st.integers(0, item_count - 1).map(str)
+    vote = st.tuples(task, worker, item, st.sampled_from(["0", "1"]))
+    blank = st.sampled_from([(), ("",), ("  ",)])
+    odd = st.one_of(
+        st.tuples(task, worker, st.integers(-2, 9).map(str) | st.sampled_from(_ODD_IDS),
+                  st.sampled_from(["0", "1"])),
+        st.tuples(task, worker, item, st.sampled_from(["2", "", "yes", "01"])),
+        st.lists(st.sampled_from(["t0", "w0", "1", '"a\nb"']), min_size=1, max_size=6),
+        st.just(('"a"b', "w0", "0", "1")),
+    )
+    rows = draw(st.lists(st.one_of(vote, vote, vote, blank), max_size=10))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    odd_header = [[" task_id", "worker_id ", "item_id", "label"], ["task_id", "worker"], []]
+    rows.insert(0, draw(st.sampled_from([VOTES_HEADER] * 8 + odd_header)))
+
+    def cell(text):  # a quoted field is left unpadded: text after its closing quote is an error
+        return text if text.startswith('"') else draw(pad).format(text)
+
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(",".join(map(cell, row)) for row in rows)
+    return text + draw(st.sampled_from(["", ending, ending, '"open']))
+
+
+@st.composite
+def truth_texts(draw, item_count=6):
+    r"""Hypothesis strategy: truth file text, with odd entries and line ends.
+
+    Lines are joined by \n, \r\n or \r and may carry \x0c, padding,
+    out-of-universe ids and the odd ids of votes_csv_texts.
+    """
+    entry = st.one_of(
+        st.integers(0, item_count - 1).map(str), st.integers(0, item_count - 1).map(str),
+        st.integers(-1, item_count + 2).map(str), st.sampled_from(_ODD_IDS),
+        st.sampled_from(["", " ", "\x0c", "\t"]),
+    )
+    pad = st.sampled_from(["{}", " {} ", "{}\x0c", "\x0c{}", "{}\x0b"])
+    lines = draw(st.lists(st.tuples(entry, pad), max_size=12))
+    text = ""
+    for e, p in lines:
+        text += p.format(e) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text + draw(st.sampled_from(["", "3", "\x0c"]))
 
 
 def counter_fstats(t):

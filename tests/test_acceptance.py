@@ -28,7 +28,16 @@ from errest.sim import SimScenario, simulate, srmse
 from errest.switch import Direction, SwitchReplay, d_switch, replay_switches, switch_fstats
 from errest.trajectory import evaluate_trajectory
 
-from helpers import C, D, consensus_oracle, eq7_switch_count, log_votes, make_log, random_log
+from helpers import (
+    C,
+    D,
+    append_task,
+    confirming_round,
+    consensus_oracle,
+    eq7_switch_count,
+    make_log,
+    random_log,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,9 +166,8 @@ def test_criterion_6_convergence():
     violations = []
     for trial in range(100):
         log = random_log(rng, max_items=8, max_votes_per_item=8)
-        replay = SwitchReplay(log.item_count)
-        for item, dirty in log_votes(log):
-            replay.apply(item, dirty)
+        replay = SwitchReplay(log)
+        replay.advance(len(log))
 
         def xi_all():
             stats = replay.snapshot()
@@ -176,14 +184,13 @@ def test_criterion_6_convergence():
         prev = None
         settled_seen = False
         for step in range(12):
-            for item in range(log.item_count):
-                pos, neg = replay.pos[item], replay.neg[item]
-                if pos > neg or (pos == neg and replay.consensus_dirty[item]):
-                    lab = D
-                else:
-                    lab = C
-                flipped = replay.apply(item, lab)
-                assert not flipped, "a consensus-confirming vote must never flip"
+            # replay the log with this step's confirming votes appended
+            c_switch = replay.snapshot().c_switch
+            log = append_task(log, confirming_round(replay))
+            replay = SwitchReplay(log)
+            replay.advance(len(log))
+            flipped = replay.snapshot().c_switch > c_switch  # a flip is a new event
+            assert not flipped, "a consensus-confirming vote must never flip"
             xi, settled = xi_all()
             if settled_seen and prev is not None and xi > prev + 1e-9:
                 violations.append((trial, step, prev, xi))

@@ -28,10 +28,14 @@ from helpers import (
     counter_fstats,
     log_votes,
     make_log,
+    parse_votes_oracle,
     random_log,
+    read_truth_oracle,
     single_item_log,
     task_blocks,
+    truth_texts,
     vote_logs,
+    votes_csv_texts,
 )
 
 
@@ -241,6 +245,46 @@ class TestCsv:
             path = Path(tmp) / "truth.csv"
             write_truth_csv(dirty, path)
             assert read_truth_csv(path, item_count=50) == dirty
+
+    @settings(max_examples=400, deadline=None)
+    @given(votes_csv_texts())
+    @example("task_id,worker_id,item_id,label\nt0,w0,0_2,1\n")  # int() reads 2
+    @example("task_id,worker_id,item_id,label\r\n\r\nt0,w0,\u0661,1\r\n")  # int() reads 1
+    def test_votes_match_row_by_row_oracle(self, text):
+        # the same columns, or the same message and line
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "votes.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = error = None
+            try:
+                *columns, lines = parse_votes_oracle(path)
+                expected = VoteLog(*columns, 4)
+            except MalformedInputError as exc:
+                line = exc.line if exc.position is None else lines[exc.position]
+                message = str(exc) if exc.position is None else f"line {line}: {exc}"
+                error = (message, line)
+            if error is None:
+                assert_same_columns(read_votes_csv(path, item_count=4), expected)
+            else:
+                with pytest.raises(MalformedInputError) as got:
+                    read_votes_csv(path, item_count=4)
+                assert (str(got.value), got.value.line) == error
+
+    @settings(max_examples=400, deadline=None)
+    @given(truth_texts())
+    @example("1\x0c2\n0_2\r3\r\n\u0661\n")
+    def test_truth_matches_line_by_line_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "truth.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = read_truth_oracle(path, item_count=6)
+            except MalformedInputError as exc:
+                with pytest.raises(MalformedInputError) as got:
+                    read_truth_csv(path, item_count=6)
+                assert (str(got.value), got.value.line) == (str(exc), exc.line)
+            else:
+                assert read_truth_csv(path, item_count=6) == expected
 
     def test_earliest_violation_reported(self, tmp_path):
         # vote 1 repeats a worker-item pair, vote 2 leaves the universe and

@@ -1,10 +1,10 @@
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from errest.core import FStatistics, TallyState
+from errest.core import FStatistics, MalformedInputError, TallyState, tally
 from errest.estimators import InsufficientDataError, LOW_COVERAGE, majority
 from errest.switch import (
     Direction,
@@ -21,21 +21,15 @@ from errest.switch import (
 from helpers import (
     C,
     D,
+    append_task,
+    confirming_round,
     consensus_oracle,
     eq7_switch_count,
-    log_votes,
     make_log,
     random_log,
     single_item_log,
     vote_logs,
 )
-
-
-def confirming_label(replay, item):
-    pos, neg = replay.pos[item], replay.neg[item]
-    if pos > neg or (pos == neg and replay.consensus_dirty[item]):
-        return D
-    return C
 
 
 class TestReplayExamples:
@@ -67,9 +61,8 @@ class TestReplayExamples:
         log = single_item_log([D, C, D])
         stats = replay_switches(log)
         assert stats.c_switch == 2
-        replay = SwitchReplay(1)
-        for item, dirty in log_votes(log):
-            replay.apply(item, dirty)
+        replay = SwitchReplay(log)
+        replay.advance(len(log))
         assert not replay.consensus_dirty[0]
 
     def test_prefix_argument(self):
@@ -77,6 +70,23 @@ class TestReplayExamples:
         assert replay_switches(log, 1).c_switch == 1
         assert replay_switches(log, 2).c_switch == 2
         assert replay_switches(log, 4).c_switch == 3
+
+    def test_prefix_end_outside_log_rejected(self):
+        # the bound core.tally checks, with its message
+        log = single_item_log([D, C, D])
+        for end in (-1, 4, 10):
+            with pytest.raises(MalformedInputError, match=rf"prefix end {end} outside \[0, 3\]"):
+                replay_switches(log, end)
+            with pytest.raises(MalformedInputError, match=rf"prefix end {end} outside \[0, 3\]"):
+                SwitchReplay(log).advance(end)
+
+    def test_advance_backwards_rejected(self):
+        replay = SwitchReplay(single_item_log([D, C, D]))
+        replay.advance(2)
+        replay.advance(2)  # an empty block
+        with pytest.raises(ValueError, match="prefix end 1 is before"):
+            replay.advance(1)
+        assert replay.snapshot().c_switch == 2
 
 
 class TestSwitchCount:
@@ -167,11 +177,9 @@ class TestIncrementalFingerprints:
     @settings(max_examples=200, deadline=None)
     @given(vote_logs())
     def test_snapshot_equals_recount_at_every_prefix(self, log):
-        replay = SwitchReplay(log.item_count)
-        votes = log_votes(log)
+        replay = SwitchReplay(log)
         for upto in range(len(log) + 1):
-            if upto:
-                replay.apply(*votes[upto - 1])
+            replay.advance(upto)
             stats = replay.snapshot()
             oracle_events, _, n_switch = consensus_oracle(log, upto)
             for direction, positive in ((Direction.POSITIVE, True), (Direction.NEGATIVE, False)):
@@ -190,16 +198,35 @@ class TestIncrementalFingerprints:
             assert stats.c_switch == len(stats.events) == len(oracle_events)
             assert stats.n_switch == n_switch
 
+    @settings(max_examples=200, deadline=None)
+    @given(vote_logs(), st.data())
+    def test_blocks_of_any_size_equal_oracle(self, log, data):
+        # a block may span tasks, and may hold several votes on one item
+        ends = data.draw(st.lists(st.integers(0, len(log)), max_size=5).map(sorted))
+        replay = SwitchReplay(log)
+        for end in ends + [len(log)]:
+            replay.advance(end)
+            events, labels, n_switch = consensus_oracle(log, end)
+            stats = replay.snapshot()
+            assert [(e.item_id, e.direction is Direction.POSITIVE, e.multiplicity)
+                    for e in stats.events] == events
+            assert stats.n_switch == n_switch
+            expected = [labels.get(item, False) for item in range(log.item_count)]
+            assert replay.consensus_dirty.tolist() == expected
+            assert replay.pos.tolist() == tally(log, end).pos.tolist()
+            assert replay.neg.tolist() == tally(log, end).neg.tolist()
+
 
 class TestConsensusLabels:
     @settings(max_examples=200, deadline=None)
     @given(vote_logs())
     def test_labels_and_flips_equal_oracle_at_every_prefix(self, log):
-        replay = SwitchReplay(log.item_count)
+        replay = SwitchReplay(log)
         assert not replay.consensus_dirty.any()
         n_events = 0
-        for upto, vote in enumerate(log_votes(log), 1):
-            flipped = replay.apply(*vote)
+        for upto in range(1, len(log) + 1):
+            replay.advance(upto)
+            flipped = replay.snapshot().c_switch > n_events  # a flip is a new event
             events, labels, _ = consensus_oracle(log, upto)
             assert flipped == (len(events) > n_events)
             n_events = len(events)
@@ -314,19 +341,22 @@ class TestSwitchTotalErrors:
 class TestConvergenceMechanics:
     """The parts of the confirmation-convergence story that do hold."""
 
-    def append_confirming_round(self, replay):
-        for item in range(replay.item_count):
-            flipped = replay.apply(item, confirming_label(replay, item))
-            assert not flipped
+    def append_confirming_round(self, log, replay):
+        """The log with one confirming vote per item, replayed to its end."""
+        extended = append_task(log, confirming_round(replay))
+        c_switch = replay.snapshot().c_switch
+        replay = SwitchReplay(extended)
+        replay.advance(len(extended))
+        assert replay.snapshot().c_switch == c_switch  # no confirming vote flips
+        return extended, replay
 
     def test_latest_events_stop_being_singletons(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             log = random_log(rng)
-            replay = SwitchReplay(log.item_count)
-            for item, dirty in log_votes(log):
-                replay.apply(item, dirty)
-            self.append_confirming_round(replay)
+            replay = SwitchReplay(log)
+            replay.advance(len(log))
+            log, replay = self.append_confirming_round(log, replay)
             latest = {}
             for e in replay.snapshot().events:
                 latest[e.item_id] = e
@@ -336,12 +366,11 @@ class TestConvergenceMechanics:
         rng = np.random.default_rng(4)
         for _ in range(30):
             log = random_log(rng)
-            replay = SwitchReplay(log.item_count)
-            for item, dirty in log_votes(log):
-                replay.apply(item, dirty)
+            replay = SwitchReplay(log)
+            replay.advance(len(log))
             prev = None
             for _ in range(10):
-                self.append_confirming_round(replay)
+                log, replay = self.append_confirming_round(log, replay)
                 f = switch_fstats(replay.snapshot())
                 if f.c == 0:
                     break
