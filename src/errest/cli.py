@@ -115,7 +115,7 @@ def run_simulate(
         rows = evaluate_trajectory(
             permuted, shift=shift, trend_window=trend_window, truth=truth
         )
-        values = [[row.value(name) for name in columns] for row in rows]
+        values = [[getattr(row, name) for name in columns] for row in rows]  # None -> NaN
         return np.array(values, dtype=float).reshape(len(rows), len(columns))
 
     averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)

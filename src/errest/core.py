@@ -149,6 +149,11 @@ class FStatistics:
         """Distinct-class count: the sum of the f_j."""
         return sum(self.freq.values())
 
+    @property
+    def ssum(self) -> int:
+        """Skew moment: the sum of j(j-1)f_j."""
+        return sum(j * (j - 1) * fj for j, fj in self.freq.items())
+
 
 def tally(log: VoteLog, upto_seq: int | None = None) -> TallyState:
     """Count dirty/clean votes per item over the prefix votes[0:upto_seq)."""
@@ -181,12 +186,13 @@ def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
 
 @contextmanager
 def _open_utf8(path, newline=None):
-    """Open path as UTF-8 text; a decode error names the first line that fails.
+    """Open path as UTF-8 text past any byte-order mark; a decode error names the first
+    line that fails.
 
     The decoder's message gives an offset inside a read chunk, so the file
     is re-scanned in binary; splitlines ends lines where text mode does.
     """
-    with open(path, newline=newline, encoding="utf-8") as fh:
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError:

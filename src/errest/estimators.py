@@ -10,13 +10,18 @@ variation.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import FStatistics, TallyState
 
 __all__ = [
     "EstimatorOutput",
+    "Estimates",
     "InsufficientDataError",
     "LOW_COVERAGE",
+    "Moments",
     "nominal",
     "majority",
     "extrapolate",
@@ -24,6 +29,7 @@ __all__ = [
     "cv2",
     "chao92",
     "vchao92",
+    "vchao92_columns",
 ]
 
 LOW_COVERAGE = "low-coverage"
@@ -74,60 +80,95 @@ def extrapolate(sample_fraction: float, sample_errors: int) -> tuple[float, floa
     return total, total - sample_errors
 
 
-def coverage(f: FStatistics) -> float:
+class Moments(NamedTuple):
+    """Columns of fingerprint moments, one entry per sample: class count c, singletons f1,
+    sample size n and the skew moment ssum = sum of j(j-1)f_j. An FStatistics has the
+    same four names as ints."""
+
+    c: np.ndarray
+    f1: np.ndarray
+    n: np.ndarray
+    ssum: np.ndarray
+
+
+class Estimates(NamedTuple):
+    """Columns of coverage-form estimates; zero coverage marks the LOW_COVERAGE rows."""
+
+    total: np.ndarray
+    remaining: np.ndarray
+    coverage: np.ndarray
+    cv2: np.ndarray
+
+    def output(self) -> EstimatorOutput:  # the one-row case
+        flags = (LOW_COVERAGE,) if self.coverage == 0.0 else ()
+        return EstimatorOutput(*map(float, self), flags=flags)
+
+
+def coverage(f: FStatistics | Moments) -> float | np.ndarray:
     """Good-Turing sample-coverage estimate 1 - f1/n, clamped to [0, 1].
 
-    An empty sample is complete by convention (returns 1).
+    f is an FStatistics, giving a float, or Moments, giving a column. An
+    empty sample is complete by convention (returns 1).
     """
-    if f.n == 0:
-        return 1.0
-    return min(max(1.0 - f.f1 / f.n, 0.0), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cover = np.where(np.equal(f.n, 0), 1.0, np.clip(1.0 - f.f1 / np.asarray(f.n), 0.0, 1.0))
+    return cover if cover.ndim else float(cover)
 
 
-def cv2(f: FStatistics, d_noskew: float) -> float:
+def cv2(f: FStatistics | Moments, d_noskew) -> float | np.ndarray:
     """Squared coefficient of variation of the class frequencies.
 
     d_noskew is the coverage-only estimate c / C-hat that anchors the
     correction. Samples of fewer than two observations carry no skew
-    information and return 0.
+    information and return 0. Takes and returns columns like coverage.
     """
-    n = f.n
-    if n < 2:
-        return 0.0
-    ssum = sum(j * (j - 1) * fj for j, fj in f.freq.items())
-    return max(d_noskew * ssum / (n * (n - 1)) - 1.0, 0.0)
+    n = np.asarray(f.n, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma2 = np.where(n < 2, 0.0, np.maximum(d_noskew * f.ssum / (n * (n - 1)) - 1.0, 0.0))
+    return gamma2 if gamma2.ndim else float(gamma2)
 
 
-def _chao_form(
-    c: int, f: FStatistics, skew: FStatistics, universe: int | None
-) -> EstimatorOutput:
+def _chao_form(c, f, skew, universe: int | None) -> Estimates:
     """Coverage-adjusted species estimate c/C + f1*cv2/C with C = coverage(f).
 
-    The coefficient of variation comes from the `skew` fingerprint,
-    anchored at its own coverage-only estimate. At zero coverage (every
+    f supplies the columns f1 and n, skew all four moments. The
+    coefficient of variation comes from the `skew` fingerprint, anchored
+    at its own coverage-only estimate. At zero coverage (every
     observation a singleton) the ratio form diverges; the estimate is
     then capped at the item universe size when one is supplied (infinite
     otherwise) and flagged LOW_COVERAGE.
     """
-    cover = coverage(f)
-    if cover == 0.0:
-        total = float(universe) if universe is not None else math.inf
-        return EstimatorOutput(
-            total, max(total - c, 0.0), 0.0, 0.0, flags=(LOW_COVERAGE,)
-        )
-    skew_cover = coverage(skew)
-    gamma2 = cv2(skew, skew.c / skew_cover) if skew_cover > 0 else 0.0
-    total = c / cover + f.f1 * gamma2 / cover
-    return EstimatorOutput(total, max(total - c, 0.0), cover, gamma2)
+    cover = np.asarray(coverage(f))
+    skew_cover = np.asarray(coverage(skew))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma2 = np.where(skew_cover > 0, cv2(skew, skew.c / skew_cover), 0.0)
+        total = c / cover + f.f1 * gamma2 / cover
+    low = cover == 0.0
+    total = np.where(low, math.inf if universe is None else float(universe), total)
+    gamma2 = np.where(low, 0.0, gamma2)
+    return Estimates(total, np.maximum(total - c, 0.0), cover, gamma2)
 
 
-def chao92(f: FStatistics, universe: int | None = None) -> EstimatorOutput:
+def vchao92_columns(f: Moments, c_majority, f_next, n_low, universe: int | None = None):
+    """vchao92 on columns, given f_{1+shift} and n_low, the sum of f_j over j <= shift.
+
+    Returns the estimates and the mask of the rows where the shift leaves
+    no effective sample, whose estimates are undefined.
+    """
+    n_shifted = f.n - n_low  # the shifted sample's f1 is f_next
+    est = _chao_form(c_majority, Moments(c_majority, f_next, n_shifted, 0), f, universe)
+    return est, np.asarray(n_shifted) <= 0
+
+
+def chao92(f: FStatistics | Moments, universe: int | None = None) -> EstimatorOutput | Estimates:
     """Coverage-based total-error estimate over discovery statistics.
 
     Uses the nominal distinct count carried by the fingerprint; pass
-    the item universe size to enable the zero-coverage cap.
+    the item universe size to enable the zero-coverage cap. An
+    FStatistics gives its EstimatorOutput, Moments columns their Estimates.
     """
-    return _chao_form(f.c, f, f, universe)
+    est = _chao_form(f.c, f, f, universe)
+    return est if isinstance(f, Moments) else est.output()
 
 
 def vchao92(
@@ -147,8 +188,8 @@ def vchao92(
     """
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
-    n_shifted = f.n - sum(fj for j, fj in f.freq.items() if j <= shift)
-    if n_shifted <= 0:
+    n_low = sum(fj for j, fj in f.freq.items() if j <= shift)
+    est, insufficient = vchao92_columns(f, c_majority, f.f(shift + 1), n_low, universe)
+    if insufficient:
         raise InsufficientDataError(f"shift {shift} leaves no effective sample (n={f.n})")
-    shifted = FStatistics({j - shift: fj for j, fj in f.freq.items() if j > shift}, n_shifted)
-    return _chao_form(c_majority, shifted, f, universe)
+    return est.output()

@@ -86,7 +86,8 @@ class GroundTruth:
     n_items: int
 
     @cached_property
-    def _mask(self) -> np.ndarray:
+    def mask(self) -> np.ndarray:
+        """Boolean mask of the dirty set over the universe."""
         mask = np.zeros(self.n_items, dtype=bool)
         mask[list(self.dirty_set)] = True
         return mask
@@ -99,7 +100,7 @@ class GroundTruth:
         needs exactly one flip.
         """
         consensus = t.pos > t.neg
-        truth = self._mask
+        truth = self.mask
         positive = int(np.count_nonzero(truth & ~consensus))
         negative = int(np.count_nonzero(~truth & consensus))
         return positive, negative
@@ -229,7 +230,7 @@ def permute_and_average(
 
 def load_scenario(path) -> SimScenario:
     """Read a scenario from flat-key JSON, rejecting unknown keys."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("scenario file must hold a JSON object")

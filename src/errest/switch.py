@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FStatistics, MalformedInputError, VoteLog
-from .estimators import EstimatorOutput, InsufficientDataError, chao92
+from .estimators import EstimatorOutput, Estimates, InsufficientDataError, Moments, chao92
 
 __all__ = [
     "Direction",
@@ -48,11 +48,11 @@ class Direction(Enum):
 
 
 class Trend(Enum):
-    """Recent movement of the strict-majority count."""
+    """Recent movement of the strict-majority count, valued as the sign of the change."""
 
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    FLAT = "flat"
+    INCREASING = 1
+    DECREASING = -1
+    FLAT = 0
 
 
 class SwitchEvent(NamedTuple):
@@ -107,11 +107,13 @@ def _bump(freq: dict[int, int], old: int) -> None:
 class SwitchReplay:
     """Single-pass switch detector over a log's votes in arrival order.
 
-    The constructor finds once per vote whether it flips its item's
-    consensus or confirms an earlier flip (else it is a no-op). advance
-    folds in a block of votes: pos/neg in O(block), the events and one-sided
-    fingerprints at its flips and confirmations, so a snapshot only copies
-    state. An item's consensus label is the direction of its latest event.
+    The constructor finds once per vote its item's running dirty/clean
+    counts after it (vote_pos, vote_neg, in arrival order) and whether it
+    flips its item's consensus or confirms an earlier flip (else it is a
+    no-op). advance folds in a block of votes: pos/neg in O(block), the
+    events and one-sided fingerprints at its flips and confirmations, so a
+    snapshot only copies state. An item's consensus label is the direction
+    of its latest event.
     """
 
     def __init__(self, log: VoteLog):
@@ -135,6 +137,7 @@ class SwitchReplay:
         flip = ((pos == neg) | ((pos + neg == 1) & (dirty == 1))).astype(np.int64)
         active = (flip == 1) | (running(flip) > flip)  # a flip, or a vote after one
         back = np.argsort(order)  # each vote's position in the grouped order
+        self.vote_pos, self.vote_neg = pos[back], neg[back]
         at = np.flatnonzero(active[back])  # the active votes' positions
         self._at = at.tolist()
         self._active = list(zip(self._items[at].tolist(), (flip[back][at] == 1).tolist()))
@@ -174,6 +177,19 @@ class SwitchReplay:
             n_switch=self._n_switch,
         )
 
+    def prefix_moments(self, ends) -> tuple[Moments, Moments]:
+        """Advance to each prefix end in turn: the snapshots' positive and negative switch
+        moments, with n the adjusted vote count as in switch_fstats."""
+        rows = []
+        for end in ends:
+            self.advance(end)
+            stats = self.snapshot()
+            for freq in (stats.f_pos, stats.f_neg):
+                rows.append((sum(freq.values()), freq.get(1, 0), stats.n_switch,
+                             sum(j * (j - 1) * fj for j, fj in freq.items())))
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 2, 4).T
+        return Moments(*columns[:, 0]), Moments(*columns[:, 1])
+
     @property
     def consensus_dirty(self) -> np.ndarray:
         """Per-item consensus labels, True where the latest event is positive."""
@@ -204,27 +220,23 @@ def switch_fstats(stats: SwitchStats, direction: Direction | None = None) -> FSt
     return FStatistics(freq=freq, n=stats.n_switch)
 
 
-def d_switch(f: FStatistics, universe: int | None = None) -> EstimatorOutput:
-    """Total-switch estimate: the coverage form applied to switch statistics."""
-    if f.n == 0 and f.c > 0:
+def d_switch(f: FStatistics | Moments, universe: int | None = None) -> EstimatorOutput | Estimates:
+    """Total-switch estimate: the coverage form applied to switch statistics, like chao92."""
+    if np.any((f.n == 0) & (f.c > 0)):
         raise InsufficientDataError("switch fingerprint has events but no sample")
     return chao92(f, universe=universe)
 
 
-def switch_total_errors(
-    m: int, xi_pos: float, xi_neg: float, trend: Trend, universe: int
-) -> float:
+def switch_total_errors(m, xi_pos, xi_neg, trend: Trend | np.ndarray, universe: int):
     """Adjust the strict-majority count m by the expected remaining flips.
 
     xi_pos and xi_neg are the one-sided remaining_hat figures of d_switch. A
     rising majority count means undiscovered errors dominate, so only
     xi_pos is added; a falling one subtracts xi_neg; a flat majority
-    applies both. The result is clamped to [0, universe].
+    applies both. The result is clamped to [0, universe]. On columns,
+    trend holds the Trend values and the result is a column.
     """
-    if trend is Trend.INCREASING:
-        value = m + xi_pos
-    elif trend is Trend.DECREASING:
-        value = m - xi_neg
-    else:
-        value = m + xi_pos - xi_neg
-    return min(max(value, 0.0), float(universe))
+    sign = np.asarray(trend.value if isinstance(trend, Trend) else trend)
+    value = np.where(sign > 0, m + xi_pos, np.where(sign < 0, m - xi_neg, m + xi_pos - xi_neg))
+    total = np.minimum(np.maximum(value, 0.0), float(universe))
+    return total if total.ndim else float(total)

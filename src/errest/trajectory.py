@@ -1,26 +1,22 @@
 """Per-task estimator trajectories over a replayed vote log.
 
-Replays a log task by task with incremental tallies and switch
-detection, and snapshots every estimator after each completed task.
-This is the engine behind the CLI's estimate and simulate commands.
+Evaluates every estimator after each completed task: the fingerprint
+moments of all prefixes come from per-vote deltas, the switch
+fingerprints from one incremental replay, and each estimator runs once
+over its column. This is the engine behind the CLI's estimate and
+simulate commands.
 """
 
-import math
 from dataclasses import dataclass
 
-from .core import TallyState, VoteLog, fstats_from_tally
-from .estimators import InsufficientDataError, chao92, majority, vchao92
-from .sim import GroundTruth
-from .switch import (
-    Direction,
-    SwitchReplay,
-    Trend,
-    d_switch,
-    switch_fstats,
-    switch_total_errors,
-)
+import numpy as np
 
-__all__ = ["TrajectoryRow", "evaluate_trajectory", "trend_from_history"]
+from .core import VoteLog
+from .estimators import LOW_COVERAGE, Moments, chao92, vchao92_columns
+from .sim import GroundTruth
+from .switch import SwitchReplay, d_switch, switch_total_errors
+
+__all__ = ["TrajectoryRow", "evaluate_trajectory"]
 
 DEFAULT_SHIFT = 1
 DEFAULT_TREND_WINDOW = 10
@@ -60,26 +56,6 @@ class TrajectoryRow:
     truth_xi_pos: int | None = None
     truth_xi_neg: int | None = None
 
-    def value(self, column: str) -> float:
-        v = getattr(self, column)
-        return math.nan if v is None else float(v)
-
-
-def trend_from_history(history: list[int], window: int) -> Trend:
-    """Sign of the majority-count change over the last `window` tasks.
-
-    Before the log starts the majority count is zero, so early prefixes
-    compare against zero.
-    """
-    now = history[-1]
-    ref_index = len(history) - 1 - window
-    ref = history[ref_index] if ref_index >= 0 else 0
-    if now > ref:
-        return Trend.INCREASING
-    if now < ref:
-        return Trend.DECREASING
-    return Trend.FLAT
-
 
 def evaluate_trajectory(
     log: VoteLog,
@@ -87,57 +63,73 @@ def evaluate_trajectory(
     trend_window: int = DEFAULT_TREND_WINDOW,
     truth: GroundTruth | None = None,
 ) -> list[TrajectoryRow]:
-    """Replay the log and emit one TrajectoryRow per completed task."""
+    """Replay the log and emit one TrajectoryRow per completed task.
+
+    The discovery, majority and truth columns come from per-vote deltas
+    of the fingerprint moments, accumulated over tasks; only the switch
+    fingerprints are replayed prefix by prefix. Each estimator then runs
+    once over its column.
+    """
     for name, value in (("shift", shift), ("trend_window", trend_window)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    n = log.item_count
+    if not log.tasks:
+        return []
+    n, n_tasks = log.item_count, log.task_count
+    # Exact clamps: no multiplicity exceeds the vote count, no lag the task count.
+    shift, trend_window = min(shift, len(log) + 1), min(trend_window, n_tasks)
     replay = SwitchReplay(log)
-    tally_state = TallyState(replay.pos, replay.neg)  # live view of the replay's counts
-    majority_history: list[int] = []
-    rows = []
-    for task_index, (_, _, end) in enumerate(log.tasks):
-        replay.advance(end)
+    starts = [start for _, start, _ in log.tasks]
+    d, p, q = log.dirty, replay.vote_pos, replay.vote_neg
 
-        m = majority(tally_state)
-        majority_history.append(m)
-        fstats = fstats_from_tally(tally_state)
-        chao = chao92(fstats, universe=n)
-        try:
-            vest = vchao92(fstats, m, shift=shift, universe=n)
-            vchao_total, vchao_flags = vest.total_errors_hat, vest.flags
-        except InsufficientDataError:
-            vchao_total, vchao_flags = None, ("insufficient-data",)
+    def reaching(j):  # the dirty votes that bring their item's dirty count to j
+        return d & (p == j)
 
-        stats = replay.snapshot()
-        xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
-        xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
-        trend = trend_from_history(majority_history, trend_window)
-        total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, trend, n)
-        named = zip(("chao92_total", "vchao92_total", "xi_pos", "xi_neg"),
-                    (chao.flags, vchao_flags, xi_pos.flags, xi_neg.flags))
-        flags = tuple(f"{column}:{marker}" for column, ms in named for marker in ms)
+    def step(j_in, j_out):  # class count: +1 as an item reaches j_in, -1 as it reaches j_out
+        return reaching(j_in).astype(np.int8) - reaching(j_out)
 
-        truth_count = truth_xi_pos = truth_xi_neg = None
-        if truth is not None:
-            truth_count = len(truth.dirty_set)
-            truth_xi_pos, truth_xi_neg = truth.switches_needed(tally_state)
+    # An item holds a strict majority while p > q: a dirty vote gains it at p - q = 1,
+    # a clean one loses it at p = q.
+    majority_step = (d & (p - q == 1)).astype(np.int8) - (~d & (p == q))
+    deltas = [
+        d,  # n
+        reaching(1),  # c
+        step(1, 2),  # f1
+        step(1 + shift, 2 + shift),  # f_{1+shift}
+        step(1, 1 + shift),  # the sum of f_j over j <= shift
+        majority_step,
+        p * d,  # with n, the skew moment: a dirty vote adds 2(p-1)
+    ]
+    if truth is not None:
+        hit = truth.mask[log.item_ids]
+        deltas += [majority_step * hit, majority_step * ~hit]
+    # Summed within each task one delta row at a time, so no int64 copy of them all.
+    totals = np.cumsum([np.add.reduceat(x, starts, dtype=np.int64) for x in deltas], axis=1)
+    del deltas, majority_step
+    n_votes, c, f1, f_next, n_low, m, dirty_pos = totals[:7]
+    discovery = Moments(c, f1, n_votes, 2 * (dirty_pos - n_votes))
 
-        rows.append(
-            TrajectoryRow(
-                task_index=task_index,
-                nominal=fstats.c,
-                majority=m,
-                chao92_total=chao.total_errors_hat,
-                vchao92_total=vchao_total,
-                switch_total=total,
-                xi_pos=xi_pos.remaining_hat,
-                xi_neg=xi_neg.remaining_hat,
-                coverage_hat=chao.coverage_hat,
-                truth=truth_count,
-                flags=flags,
-                truth_xi_pos=truth_xi_pos,
-                truth_xi_neg=truth_xi_neg,
-            )
-        )
-    return rows
+    chao = chao92(discovery, universe=n)
+    vchao, insufficient = vchao92_columns(discovery, m, f_next, n_low, universe=n)
+    switch_moments = replay.prefix_moments(end for _, _, end in log.tasks)
+    xi_pos, xi_neg = (d_switch(moments, n) for moments in switch_moments)
+    lag = np.concatenate([np.zeros(trend_window, m.dtype), m])[:n_tasks]  # 0 before the log
+    total = switch_total_errors(m, xi_pos.remaining, xi_neg.remaining, np.sign(m - lag), n)
+
+    def marks(column, est):
+        return np.where(est.coverage == 0.0, f"{column}:{LOW_COVERAGE}", "").tolist()
+
+    vchao_marks = np.where(insufficient, "vchao92_total:insufficient-data",
+                           marks("vchao92_total", vchao)).tolist()
+    flags = [tuple(filter(None, row)) for row in zip(
+        marks("chao92_total", chao), vchao_marks, marks("xi_pos", xi_pos), marks("xi_neg", xi_neg))]
+    vchao_total = np.where(insufficient, None, vchao.total).tolist()
+    truth_columns = [[None] * n_tasks] * 3
+    if truth is not None:
+        dirty_count = len(truth.dirty_set)
+        truth_columns = [[dirty_count] * n_tasks, (dirty_count - totals[7]).tolist(),
+                         totals[8].tolist()]
+    columns = zip(range(n_tasks), c.tolist(), m.tolist(), chao.total.tolist(), vchao_total,
+                  total.tolist(), xi_pos.remaining.tolist(), xi_neg.remaining.tolist(),
+                  chao.coverage.tolist(), truth_columns[0], flags, *truth_columns[1:])
+    return [TrajectoryRow(*values) for values in columns]

@@ -8,11 +8,17 @@ check.
 
 from collections import Counter
 import csv
+import math
 
 from hypothesis import strategies as st
 import numpy as np
 
-from errest.core import FStatistics, MalformedInputError, VoteLog
+from errest.core import FStatistics, MalformedInputError, VoteLog, error_fstats, tally
+from errest.estimators import LOW_COVERAGE, EstimatorOutput, InsufficientDataError
+from errest.estimators import chao92, majority, nominal, vchao92
+from errest.switch import Direction, Trend, d_switch, replay_switches, switch_fstats
+from errest.switch import switch_total_errors
+from errest.trajectory import TrajectoryRow
 
 D, C = True, False  # a vote's `dirty` value
 
@@ -347,6 +353,94 @@ def consensus_oracle(log, upto=None):
         label,
         total - noops,
     )
+
+
+def chao_form_oracle(c, f, skew, universe):
+    """The coverage form c/C + f1*cv2/C in Python scalars, one branch at a time."""
+
+    def coverage(g):
+        return 1.0 if g.n == 0 else min(max(1.0 - g.f1 / g.n, 0.0), 1.0)
+
+    cover = coverage(f)
+    if cover == 0.0:
+        total = float(universe) if universe is not None else math.inf
+        return EstimatorOutput(total, max(total - c, 0.0), 0.0, 0.0, flags=(LOW_COVERAGE,))
+    skew_cover = coverage(skew)
+    gamma2 = 0.0
+    if skew_cover > 0 and skew.n >= 2:
+        ssum = sum(j * (j - 1) * fj for j, fj in skew.freq.items())
+        gamma2 = max(skew.c / skew_cover * ssum / (skew.n * (skew.n - 1)) - 1.0, 0.0)
+    total = c / cover + f.f1 * gamma2 / cover
+    return EstimatorOutput(total, max(total - c, 0.0), cover, gamma2)
+
+
+def vchao92_oracle(f, c_majority, shift, universe):
+    """vchao92 on a shifted FStatistics, or None where the shift leaves no sample."""
+    n_shifted = f.n - sum(fj for j, fj in f.freq.items() if j <= shift)
+    if n_shifted <= 0:
+        return None
+    shifted = FStatistics({j - shift: fj for j, fj in f.freq.items() if j > shift}, n_shifted)
+    return chao_form_oracle(c_majority, shifted, f, universe)
+
+
+def trend_from_history(history, window):
+    """Sign of the majority-count change over the last `window` tasks.
+
+    Before the log starts the majority count is zero, so early prefixes
+    compare against zero.
+    """
+    now = history[-1]
+    ref_index = len(history) - 1 - window
+    ref = history[ref_index] if ref_index >= 0 else 0
+    if now > ref:
+        return Trend.INCREASING
+    if now < ref:
+        return Trend.DECREASING
+    return Trend.FLAT
+
+
+def trajectory_oracle(log, shift, trend_window, truth=None):
+    """The trajectory recomputed from scratch at every task's end with the scalar estimators.
+
+    Truth switches are counted against the planted mask; None and flags
+    follow evaluate_trajectory's conventions.
+    """
+    n = log.item_count
+    history = []
+    rows = []
+    for task_index, (_, _, end) in enumerate(log.tasks):
+        t = tally(log, end)
+        f = error_fstats(log, end)
+        stats = replay_switches(log, end)
+        m = majority(t)
+        history.append(m)
+        chao = chao92(f, universe=n)
+        try:
+            vest = vchao92(f, m, shift=shift, universe=n)
+            vchao_total, vchao_flags = vest.total_errors_hat, vest.flags
+        except InsufficientDataError:
+            vchao_total, vchao_flags = None, ("insufficient-data",)
+        xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
+        xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
+        trend = trend_from_history(history, trend_window)
+        total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, trend, n)
+        flags = [f"chao92_total:{marker}" for marker in chao.flags]
+        flags += [f"vchao92_total:{marker}" for marker in vchao_flags]
+        flags += [f"xi_pos:{marker}" for marker in xi_pos.flags]
+        flags += [f"xi_neg:{marker}" for marker in xi_neg.flags]
+        truth_count = truth_xi_pos = truth_xi_neg = None
+        if truth is not None:
+            consensus = t.pos > t.neg
+            dirty = dirty_mask(truth)
+            truth_count = len(truth.dirty_set)
+            truth_xi_pos = int((dirty & ~consensus).sum())
+            truth_xi_neg = int((~dirty & consensus).sum())
+        rows.append(TrajectoryRow(
+            task_index, nominal(t), m, chao.total_errors_hat, vchao_total, total,
+            xi_pos.remaining_hat, xi_neg.remaining_hat, chao.coverage_hat, truth_count,
+            tuple(flags), truth_xi_pos, truth_xi_neg,
+        ))
+    return rows
 
 
 def edit_distance_oracle(a, b):

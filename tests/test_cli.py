@@ -128,6 +128,17 @@ class TestEstimate:
         assert main([*argv, "--out", str(out)]) == 0
         assert "vchao92_total:insufficient-data" in out.read_text()
 
+    def test_huge_trend_window_exit_0(self, tmp_path):
+        # a window past the task count looks back to before the log, like the task count
+        outs = []
+        for window in (10**30, 3):  # the fixture has 3 tasks
+            out = tmp_path / f"out{len(outs)}.csv"
+            argv = ["estimate", str(DATA / "fixture_votes.csv"), "--n-items", "10",
+                    "--trend-window", str(window), "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("item", ["1_0", "\u0661", "\uff11"])
     @pytest.mark.parametrize("where", ["votes", "truth"])
     def test_non_ascii_or_underscore_id_exit_2(self, tmp_path, capsys, where, item):

@@ -286,6 +286,17 @@ class TestCsv:
             else:
                 assert read_truth_csv(path, item_count=6) == expected
 
+    def test_votes_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "votes.csv"
+        path.write_bytes(b"\xef\xbb\xbftask_id,worker_id,item_id,label\n0,w0,1,1\n")
+        log = read_votes_csv(path, item_count=2)
+        assert log.item_ids.tolist() == [1] and log.dirty.tolist() == [True]
+
+    def test_truth_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_bytes(b"\xef\xbb\xbf1\n3\n")
+        assert read_truth_csv(path, item_count=5) == {1, 3}
+
     def test_earliest_violation_reported(self, tmp_path):
         # vote 1 repeats a worker-item pair, vote 2 leaves the universe and
         # vote 3 splits task t0: the log and the CSV reader both report vote 1

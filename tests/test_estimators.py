@@ -1,12 +1,15 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from errest.core import FStatistics, TallyState
 from errest.estimators import (
     LOW_COVERAGE,
+    Estimates,
     InsufficientDataError,
+    Moments,
     chao92,
     coverage,
     cv2,
@@ -14,7 +17,11 @@ from errest.estimators import (
     majority,
     nominal,
     vchao92,
+    vchao92_columns,
 )
+
+
+from helpers import chao_form_oracle, vchao92_oracle
 
 
 def tally_of(pos, neg):
@@ -224,3 +231,84 @@ class TestVChao92:
                     assert outs[s].total_errors_hat == pytest.approx(expected, rel=1e-9)
         # documented counterexample family exists, so the probe must see some
         assert violations > 0
+
+
+class TestColumns:
+    """The column kernel against the scalar estimators, entry by entry and exactly."""
+
+    # n = 0; n = 1; all singletons (zero coverage); no sample left after a shift of 1
+    # (f = {1: 2}); skew coverage clamped to zero (f1 > n); and regular fingerprints.
+    FINGERPRINTS = [
+        FStatistics({}, 0),
+        FStatistics({}, 1),
+        FStatistics({2: 1}, 1),
+        FStatistics({1: 4}, 4),
+        FStatistics({1: 2}, 2),
+        FStatistics({1: 5}, 3),
+        FStatistics({1: 3, 2: 1}, 5),
+        FStatistics({1: 30, 2: 9, 3: 44}, 180),
+        FStatistics({1: 4, 2: 2, 3: 1}, 11),
+        FStatistics({2: 4, 3: 1}, 11),
+    ]
+
+    @staticmethod
+    def column(values):
+        return np.array(values, dtype=np.int64)
+
+    def moments(self):
+        fs = self.FINGERPRINTS
+        return Moments(*(self.column([getattr(f, k) for f in fs]) for k in Moments._fields))
+
+    @staticmethod
+    def row(est, k):
+        return Estimates(*(x[k] for x in est)).output()
+
+    def test_coverage_and_cv2(self):
+        m = self.moments()
+        for k, f in enumerate(self.FINGERPRINTS):
+            assert coverage(m)[k] == coverage(f)
+            assert cv2(m, 2.5)[k] == cv2(f, 2.5)
+
+    @pytest.mark.parametrize("universe", [None, 50])
+    def test_chao92(self, universe):
+        est = chao92(self.moments(), universe)
+        assert (est.coverage == 0).any() and (est.coverage > 0).any()
+        for k, f in enumerate(self.FINGERPRINTS):
+            assert self.row(est, k) == chao92(f, universe=universe)
+
+    @pytest.mark.parametrize("universe", [None, 50])
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    def test_vchao92(self, universe, shift):
+        fs = self.FINGERPRINTS
+        c_majority = self.column([min(f.c, 2) for f in fs])
+        f_next = self.column([f.f(shift + 1) for f in fs])
+        n_low = self.column([sum(f.f(j) for j in range(1, shift + 1)) for f in fs])
+        est, insufficient = vchao92_columns(self.moments(), c_majority, f_next, n_low, universe)
+        assert insufficient[0] and insufficient[4] == (shift > 0)  # n = 0; f = {1: 2}
+        for k, f in enumerate(fs):
+            if insufficient[k]:
+                with pytest.raises(InsufficientDataError):
+                    vchao92(f, int(c_majority[k]), shift=shift, universe=universe)
+            else:
+                assert self.row(est, k) == vchao92(f, int(c_majority[k]), shift, universe)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 8), st.integers(0, 12), max_size=6),
+        st.integers(-3, 3),
+        st.sampled_from([None, 0, 40]),
+        st.integers(0, 4),
+        st.data(),
+    )
+    def test_scalar_estimators_equal_scalar_oracle(self, freq, n_offset, universe, shift, data):
+        # n is sum(j f_j) for discovery statistics; switch statistics supply their own n
+        n = max(sum(j * fj for j, fj in freq.items()) + n_offset, 0)
+        f = FStatistics(freq, n)
+        assert chao92(f, universe=universe) == chao_form_oracle(f.c, f, f, universe)
+        c_majority = data.draw(st.integers(0, f.c))
+        want = vchao92_oracle(f, c_majority, shift, universe)
+        if want is None:
+            with pytest.raises(InsufficientDataError):
+                vchao92(f, c_majority, shift=shift, universe=universe)
+        else:
+            assert vchao92(f, c_majority, shift=shift, universe=universe) == want

@@ -151,6 +151,12 @@ class TestRecordsCsv:
         assert t.ids[0] == "r0"
         assert t.fields[0] == ("blue moon diner", "145 oak st", "portland")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"\xef\xbb\xbfrecord_id,name\nr0,a\n")
+        t = read_records_csv(path)
+        assert t.ids == ("r0",) and t.fields == (("a",),)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("record_id,name\nr0,a\nr0,b\n")

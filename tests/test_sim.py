@@ -295,6 +295,12 @@ class TestScenarioFile:
             n_items=100, n_dirty=10, task_size=5, n_tasks=20, fp_rate=0.01, seed=3
         )
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        text = json.dumps({"n_items": 10, "n_dirty": 2, "task_size": 3, "n_tasks": 4})
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_scenario(path) == SimScenario(n_items=10, n_dirty=2, task_size=3, n_tasks=4)
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"n_items": 10, "tasksize": 5}))

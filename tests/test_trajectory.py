@@ -1,24 +1,10 @@
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 import pytest
 
-from errest.core import error_fstats, tally
-from errest.estimators import InsufficientDataError, chao92, majority, nominal, vchao92
 from errest.sim import GroundTruth
-from errest.switch import (
-    Direction,
-    d_switch,
-    replay_switches,
-    switch_fstats,
-    switch_total_errors,
-)
-from errest.trajectory import (
-    DEFAULT_SHIFT,
-    DEFAULT_TREND_WINDOW,
-    evaluate_trajectory,
-    trend_from_history,
-)
+from errest.trajectory import DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, evaluate_trajectory
 
-from helpers import D, dirty_mask, make_log, vote_logs
+from helpers import D, make_log, trajectory_oracle, vote_logs
 
 
 class TestArguments:
@@ -38,40 +24,24 @@ class TestIncrementalReplay:
         truth = GroundTruth(frozenset(range(0, n, 2)), n)
         rows = evaluate_trajectory(log, truth=truth)
         assert len(rows) == log.task_count
-        history = []
-        for row, (_, _, end) in zip(rows, log.tasks):
-            t = tally(log, end)
-            f = error_fstats(log, end)
-            stats = replay_switches(log, end)
-            m = majority(t)
-            history.append(m)
-            assert row.nominal == nominal(t)
-            assert row.majority == m
-            chao = chao92(f, universe=n)
-            assert row.chao92_total == chao.total_errors_hat
-            try:
-                vest = vchao92(f, m, shift=DEFAULT_SHIFT, universe=n)
-                vchao_total, vchao_flags = vest.total_errors_hat, vest.flags
-            except InsufficientDataError:
-                vchao_total, vchao_flags = None, ("insufficient-data",)
-            assert row.vchao92_total == vchao_total
-            xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
-            xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
-            assert row.xi_pos == xi_pos.remaining_hat
-            assert row.xi_neg == xi_neg.remaining_hat
-            trend = trend_from_history(history, DEFAULT_TREND_WINDOW)
-            assert row.switch_total == switch_total_errors(
-                m, xi_pos.remaining_hat, xi_neg.remaining_hat, trend, n
-            )
-            flags = [f"chao92_total:{marker}" for marker in chao.flags]
-            flags += [f"vchao92_total:{marker}" for marker in vchao_flags]
-            flags += [f"xi_pos:{marker}" for marker in xi_pos.flags]
-            flags += [f"xi_neg:{marker}" for marker in xi_neg.flags]
-            assert row.flags == tuple(flags)
-            consensus = t.pos > t.neg
-            dirty = dirty_mask(truth)
-            assert row.truth_xi_pos == int((dirty & ~consensus).sum())
-            assert row.truth_xi_neg == int((~dirty & consensus).sum())
+        assert rows == trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vote_logs(),
+        st.sampled_from([0, 1, 2, 3]),
+        st.sampled_from([0, 1, 3, 10]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_rows_equal_oracle_for_any_shift_and_window(self, log, shift, window, with_truth,
+                                                         data):
+        truth = None
+        if with_truth:
+            dirty = data.draw(st.frozensets(st.integers(0, log.item_count - 1)))
+            truth = GroundTruth(dirty, log.item_count)
+        rows = evaluate_trajectory(log, shift=shift, trend_window=window, truth=truth)
+        assert rows == trajectory_oracle(log, shift, window, truth)
 
     @settings(max_examples=100, deadline=None)
     @given(vote_logs())
