@@ -187,17 +187,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each subcommand's run function, read from the module at parse time.
     est = sub.add_parser("estimate", help="replay a vote log into estimator trajectories")
+    est.set_defaults(run=run_estimate)
     est.add_argument("votes_csv", help="vote log (task_id,worker_id,item_id,label)")
     est.add_argument(
         "--n-items", type=non_negative_int, required=True, help="item universe size N"
     )
     est.add_argument("--shift", type=non_negative_int, default=DEFAULT_SHIFT)
     est.add_argument("--trend-window", type=non_negative_int, default=DEFAULT_TREND_WINDOW)
-    est.add_argument("--truth", help="CSV of true-dirty item ids, one per line")
+    est.add_argument("--truth", dest="truth_csv", help="CSV of true-dirty item ids, one per line")
     est.add_argument("--out", default="-")
 
     simp = sub.add_parser("simulate", help="run a seeded crowd simulation scenario")
+    simp.set_defaults(run=run_simulate)
     simp.add_argument("scenario_json", help="flat-key JSON scenario file")
     simp.add_argument("--out", default="-")
     simp.add_argument("--votes-out", help="also export the generated vote log")
@@ -209,6 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--trend-window", type=non_negative_int, default=DEFAULT_TREND_WINDOW)
 
     prs = sub.add_parser("pairs", help="expand and score candidate record pairs")
+    prs.set_defaults(run=run_pairs)
     prs.add_argument("records_csv", help="records (record_id,field1,field2,...)")
     prs.add_argument("--alpha", type=unit_float, required=True, help="auto-clean below")
     prs.add_argument("--beta", type=unit_float, required=True, help="auto-dirty above")
@@ -218,31 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    args.pop("command")
+    run = args.pop("run")
     try:
-        if args.command == "estimate":
-            run_estimate(
-                args.votes_csv,
-                n_items=args.n_items,
-                shift=args.shift,
-                trend_window=args.trend_window,
-                truth_csv=args.truth,
-                out=args.out,
-            )
-        elif args.command == "simulate":
-            run_simulate(
-                args.scenario_json,
-                out=args.out,
-                votes_out=args.votes_out,
-                truth_out=args.truth_out,
-                shift=args.shift,
-                trend_window=args.trend_window,
-                seed=args.seed,
-                permutations=args.permutations,
-                epsilon=args.epsilon,
-            )
-        else:
-            run_pairs(args.records_csv, alpha=args.alpha, beta=args.beta, out=args.out)
+        run(**args)
     except (ValueError, OSError) as exc:
         # MalformedInputError and JSON decode errors are ValueError subclasses.
         print(f"errest: {exc}", file=sys.stderr)

@@ -107,22 +107,20 @@ def _bump(freq: dict[int, int], old: int) -> None:
 class SwitchReplay:
     """Single-pass switch detector over a log's votes in arrival order.
 
-    The constructor finds once per vote its item's running dirty/clean
-    counts after it (vote_pos, vote_neg, in arrival order) and whether it
-    flips its item's consensus or confirms an earlier flip (else it is a
-    no-op). advance folds in a block of votes: pos/neg in O(block), the
-    events and one-sided fingerprints at its flips and confirmations, so a
-    snapshot only copies state. An item's consensus label is the direction
-    of its latest event.
+    The constructor decides every vote's role at once, in arrays: its item's
+    running dirty/clean counts after it (vote_pos, vote_neg, in arrival
+    order) and, unless it is a no-op, the index of the event it flips or
+    confirms (events are numbered as their flips arrive), that event's
+    direction (the parity of the item's flip count) and its multiplicity
+    before the vote. advance only writes the events and bumps the one-sided
+    fingerprints, so a snapshot only copies state.
     """
 
     def __init__(self, log: VoteLog):
-        self.pos, self.neg = np.zeros((2, log.item_count), dtype=np.int64)
-        self._latest: dict[int, int] = {}  # item -> index of its latest event
         self._events: list[SwitchEvent] = []
         self._f: dict[Direction, dict[int, int]] = {d: {} for d in Direction}
         self._n_switch = self._done = 0
-        self._items, self._dirty = log.item_ids, log.dirty.astype(np.int64)
+        self._size = len(log)
         # Running sums per item: cumsums over votes grouped by a stable sort.
         order = np.argsort(log.item_ids, kind="stable")
         starts = np.flatnonzero(np.diff(log.item_ids[order], prepend=-1))
@@ -132,39 +130,37 @@ class SwitchReplay:
             total = np.cumsum(x)
             return total - np.repeat(total[starts] - x[starts], sizes)
 
-        dirty = self._dirty[order]
+        dirty = log.dirty[order].astype(np.int64)
         pos, neg = running(dirty), running(1 - dirty)
-        flip = ((pos == neg) | ((pos + neg == 1) & (dirty == 1))).astype(np.int64)
-        active = (flip == 1) | (running(flip) > flip)  # a flip, or a vote after one
+        flip = (pos == neg) | ((pos + neg == 1) & (dirty == 1))
+        flips = running(flip.astype(np.int64))  # the item's flips so far, this vote's included
         back = np.argsort(order)  # each vote's position in the grouped order
         self.vote_pos, self.vote_neg = pos[back], neg[back]
-        at = np.flatnonzero(active[back])  # the active votes' positions
+        number = (np.cumsum(flip[back]) - 1)[order]  # a flip's event index
+        here = np.arange(len(order))
+        # Forward fill within an item: the grouped position of its latest flip.
+        latest = np.maximum.accumulate(np.where(flip, here, 0))
+        at = np.flatnonzero(flips[back])  # the active votes: a flip, or a vote after one
         self._at = at.tolist()
-        self._active = list(zip(self._items[at].tolist(), (flip[back][at] == 1).tolist()))
+        grouped = back[at]
+        self._active = list(zip(
+            log.item_ids[at].tolist(),
+            number[latest[grouped]].tolist(),
+            np.where(flips[grouped] % 2, Direction.POSITIVE, Direction.NEGATIVE).tolist(),
+            (here - latest)[grouped].tolist(),  # the event's multiplicity before the vote
+        ))
 
     def advance(self, end: int) -> None:
         """Fold in the votes [done, end), done being the previous end (0 at first)."""
-        if not 0 <= end <= len(self._items):
-            raise MalformedInputError(f"prefix end {end} outside [0, {len(self._items)}]")
+        if not 0 <= end <= self._size:
+            raise MalformedInputError(f"prefix end {end} outside [0, {self._size}]")
         if end < self._done:
             raise ValueError(f"prefix end {end} is before the {self._done} votes replayed")
-        block = slice(self._done, end)
-        np.add.at(self.pos, self._items[block], self._dirty[block])
-        np.add.at(self.neg, self._items[block], 1 - self._dirty[block])
         first, last = bisect_left(self._at, self._done), bisect_left(self._at, end)
-        for item_id, flips in self._active[first:last]:
-            latest = self._latest.get(item_id)
-            if flips:
-                # Before its first flip an item is clean, as after a negative one.
-                clean = latest is None or self._events[latest].direction is Direction.NEGATIVE
-                direction = Direction.POSITIVE if clean else Direction.NEGATIVE
-                self._latest[item_id] = len(self._events)
-                self._events.append(SwitchEvent(item_id, direction, 1))
-                _bump(self._f[direction], 0)
-            else:  # a confirmation of the item's latest flip
-                e = self._events[latest]
-                self._events[latest] = SwitchEvent(item_id, e.direction, e.multiplicity + 1)
-                _bump(self._f[e.direction], e.multiplicity)
+        for item_id, k, direction, old in self._active[first:last]:
+            # At a flip k == len(self._events), where the one-slot write appends.
+            self._events[k:k + 1] = [SwitchEvent(item_id, direction, old + 1)]
+            _bump(self._f[direction], old)
         self._n_switch += last - first
         self._done = end
 
@@ -189,14 +185,6 @@ class SwitchReplay:
                              sum(j * (j - 1) * fj for j, fj in freq.items())))
         columns = np.array(rows, dtype=np.int64).reshape(-1, 2, 4).T
         return Moments(*columns[:, 0]), Moments(*columns[:, 1])
-
-    @property
-    def consensus_dirty(self) -> np.ndarray:
-        """Per-item consensus labels, True where the latest event is positive."""
-        dirty = np.zeros(len(self.pos), dtype=bool)
-        for item_id, k in self._latest.items():
-            dirty[item_id] = self._events[k].direction is Direction.POSITIVE
-        return dirty
 
 
 def replay_switches(log: VoteLog, upto_seq: int | None = None) -> SwitchStats:

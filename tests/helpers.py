@@ -57,12 +57,20 @@ def append_task(log, votes):
     )
 
 
-def confirming_round(replay):
-    """One vote per item that backs its current consensus and so never flips it."""
-    labels = replay.consensus_dirty
+def event_labels(stats, item_count):
+    """Per-item consensus labels: the direction of the latest event, clean before the first."""
+    labels = [False] * item_count
+    for e in stats.events:
+        labels[e.item_id] = e.direction is Direction.POSITIVE
+    return labels
+
+
+def confirming_round(log, replay):
+    """One vote per item that backs the consensus of a replay advanced to the log's end."""
+    t, labels = tally(log), event_labels(replay.snapshot(), log.item_count)
     return [
         (item, bool(pos > neg or (pos == neg and labels[item])))
-        for item, (pos, neg) in enumerate(zip(replay.pos.tolist(), replay.neg.tolist()))
+        for item, (pos, neg) in enumerate(zip(t.pos.tolist(), t.neg.tolist()))
     ]
 
 

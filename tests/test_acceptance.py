@@ -186,7 +186,7 @@ def test_criterion_6_convergence():
         for step in range(12):
             # replay the log with this step's confirming votes appended
             c_switch = replay.snapshot().c_switch
-            log = append_task(log, confirming_round(replay))
+            log = append_task(log, confirming_round(log, replay))
             replay = SwitchReplay(log)
             replay.advance(len(log))
             flipped = replay.snapshot().c_switch > c_switch  # a flip is a new event

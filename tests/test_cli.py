@@ -1,7 +1,12 @@
+from contextlib import redirect_stderr
 import csv
+import io
 import json
 from pathlib import Path
+import re
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from errest.cli import main
@@ -138,6 +143,15 @@ class TestEstimate:
             assert main(argv) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_huge_universe_without_truth_exit_0(self, tmp_path):
+        # without --truth nothing is sized by the universe, only by the log
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n0,w0,0,1\n0,w0,1,1\n")
+        out = tmp_path / "out.csv"
+        assert main(["estimate", str(votes), "--n-items", str(10**15), "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["chao92_total"] == "1e+15"
 
     @pytest.mark.parametrize("item", ["1_0", "\u0661", "\uff11"])
     @pytest.mark.parametrize("where", ["votes", "truth"])
@@ -390,3 +404,55 @@ class TestPairs:
         records = tmp_path / "records.csv"
         records.write_text("record_id,name\na,x\n")
         assert main(["pairs", str(records), "--alpha", "0.9", "--beta", "0.1"]) == 2
+
+
+VALID_FILES = {
+    "votes": b"task_id,worker_id,item_id,label\n0,w0,0,1\n0,w0,1,0\n1,w1,0,1\n1,w1,2,1\n2,w2,0,0\n",
+    "truth": b"0\n2\n",
+    "records": b'record_id,name,city\na,Ann Lee,"Rome, IT"\nb,Ann  Lee,Rome\nc,Bo,Oslo\n',
+    # Compact JSON: a flipped byte cannot lengthen a number, so a run stays this small.
+    "scenario": json.dumps(
+        dict(n_items=20, n_dirty=4, task_size=3, n_tasks=6, fn_rate=0.1, fp_rate=0.05,
+             permutations=2, seed=3), separators=(",", ":")).encode(),
+}
+INSERTS = [b'"', b",", b"\xef\xbb\xbf", b"\n", b"\r\n"]
+
+
+@st.composite
+def mutated(draw, data):
+    """data after one to three byte flips, truncations or inserted quotes, commas,
+    byte-order marks and line ends (one after a line end is a blank line)."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["flip", "truncate", "insert"] if data else ["insert"]))
+        if kind == "flip":
+            at = min(at, len(data) - 1)
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:at]
+        else:
+            data = data[:at] + draw(st.sampled_from(INSERTS)) + data[at:]
+    return data
+
+
+@pytest.mark.parametrize("kind", list(VALID_FILES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_input_file_exit_0_or_2(kind, data):
+    # any damage to an input file is an input error, never an internal one
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp, name) for name in VALID_FILES}
+        for name, text in VALID_FILES.items():
+            paths[name].write_bytes(text)
+        paths[kind].write_bytes(data.draw(mutated(VALID_FILES[kind]), label=kind))
+        argv = {
+            "votes": ["estimate", paths["votes"], "--n-items", "6", "--truth", paths["truth"]],
+            "records": ["pairs", paths["records"], "--alpha", "0.2", "--beta", "0.8"],
+            "scenario": ["simulate", paths["scenario"]],
+        }["votes" if kind == "truth" else kind]
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([*map(str, argv), "--out", str(Path(tmp, "out.csv"))])
+    assert code in (0, 2), err.getvalue()
+    if code == 2 and kind != "scenario":
+        assert re.search(r"line \d+: ", err.getvalue()), err.getvalue()

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from errest.core import FStatistics, MalformedInputError, TallyState, tally
+from errest.core import FStatistics, MalformedInputError, TallyState
 from errest.estimators import InsufficientDataError, LOW_COVERAGE, majority
 from errest.switch import (
     Direction,
@@ -25,6 +25,7 @@ from helpers import (
     confirming_round,
     consensus_oracle,
     eq7_switch_count,
+    event_labels,
     make_log,
     random_log,
     single_item_log,
@@ -63,7 +64,7 @@ class TestReplayExamples:
         assert stats.c_switch == 2
         replay = SwitchReplay(log)
         replay.advance(len(log))
-        assert not replay.consensus_dirty[0]
+        assert not event_labels(replay.snapshot(), log.item_count)[0]
 
     def test_prefix_argument(self):
         log = single_item_log([D, C, D, C])
@@ -212,9 +213,7 @@ class TestIncrementalFingerprints:
                     for e in stats.events] == events
             assert stats.n_switch == n_switch
             expected = [labels.get(item, False) for item in range(log.item_count)]
-            assert replay.consensus_dirty.tolist() == expected
-            assert replay.pos.tolist() == tally(log, end).pos.tolist()
-            assert replay.neg.tolist() == tally(log, end).neg.tolist()
+            assert event_labels(stats, log.item_count) == expected
 
 
 class TestConsensusLabels:
@@ -222,7 +221,7 @@ class TestConsensusLabels:
     @given(vote_logs())
     def test_labels_and_flips_equal_oracle_at_every_prefix(self, log):
         replay = SwitchReplay(log)
-        assert not replay.consensus_dirty.any()
+        assert not any(event_labels(replay.snapshot(), log.item_count))
         n_events = 0
         for upto in range(1, len(log) + 1):
             replay.advance(upto)
@@ -231,7 +230,7 @@ class TestConsensusLabels:
             assert flipped == (len(events) > n_events)
             n_events = len(events)
             expected = [labels.get(item, False) for item in range(log.item_count)]
-            assert replay.consensus_dirty.tolist() == expected
+            assert event_labels(replay.snapshot(), log.item_count) == expected
 
 
 class TestDSwitch:
@@ -343,7 +342,7 @@ class TestConvergenceMechanics:
 
     def append_confirming_round(self, log, replay):
         """The log with one confirming vote per item, replayed to its end."""
-        extended = append_task(log, confirming_round(replay))
+        extended = append_task(log, confirming_round(log, replay))
         c_switch = replay.snapshot().c_switch
         replay = SwitchReplay(extended)
         replay.advance(len(extended))
