@@ -8,9 +8,9 @@ dirty exactly once, exactly twice, ...).
 """
 
 import csv
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -233,58 +233,75 @@ def _parse_id(text: str, what: str, line: int) -> int:
     raise MalformedInputError(f"{what} {text!r} is not an integer", line)
 
 
-def _vote_lines(path) -> list[int]:
-    """Re-scan a votes CSV row by row for each vote's line; raises naming the first bad line."""
-    with _open_utf8(path, newline="") as fh:
-        records = _csv_records(csv.reader(fh, strict=True))
-        _, header = next(records, (1, None))
-        if header is None:
-            raise MalformedInputError("missing header row", 1)
-        if [h.strip() for h in header] != VOTES_CSV_HEADER:
-            raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
-        lines = []
-        for line, row in records:
-            if len(row) > 1 or row and row[0].strip():
-                if len(row) != 4:
-                    raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
-                _parse_id(row[2].strip(), "item_id", line)
-                if (label := row[3].strip()) not in ("0", "1"):
-                    raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
-                lines.append(line)
-    return lines
+_PLAIN_HEADER = ",".join(VOTES_CSV_HEADER) + "\n"
+# What csv.reader or str.strip reads specially: the quote, NUL, ASCII whitespace but LF.
+_NOT_PLAIN = bytes(b for b in range(128) if chr(b).isspace() and b != 10) + b'"\0'
+_PLAIN_VOTE = [("task", "O"), ("worker", "O"), ("item", "i8"), ("label", "O")]
+
+
+def _plain_columns(text: str):
+    """Parse a plain votes CSV in C; None for any other text, or one loadtxt rejects.
+
+    Plain text is ASCII with the exact header, LF line ends, no byte of _NOT_PLAIN and
+    no line over the csv field limit: csv.reader plus strip would give the same cells.
+    """
+    raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
+    breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
+    lengths = np.diff(breaks, prepend=-1, append=len(raw)) - 1  # of each line
+    if (len(raw.translate(None, _NOT_PLAIN)) < len(text) or not text.startswith(_PLAIN_HEADER)
+            or lengths.max() > csv.field_size_limit() or not lengths[1:].any()):
+        return None  # not plain, or no row after the header, on which loadtxt would warn
+    try:  # a ragged row, or an item_id that is no int64
+        votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PLAIN_VOTE, skiprows=1,
+                           comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    labels = votes["label"]
+    if not {*labels} <= {"0", "1"}:
+        return None
+    return votes["item"].copy(), labels == "1", tuple(votes["worker"]), tuple(votes["task"])
+
+
+def _vote_rows(text: str) -> tuple:
+    """Scan a votes CSV row by row; raises naming the first bad line.
+
+    Returns (item_ids, dirty, worker_ids, task_ids, lines), lines holding each vote's line.
+    """
+    records = _csv_records(csv.reader(io.StringIO(text, newline=""), strict=True))
+    _, header = next(records, (1, None))
+    if header is None:
+        raise MalformedInputError("missing header row", 1)
+    if [h.strip() for h in header] != VOTES_CSV_HEADER:
+        raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
+    tasks, workers, items, dirty, lines = [], [], [], [], []
+    for line, row in records:  # the rows die here: keeping them as lists wakes the collector
+        if len(row) > 1 or row and row[0].strip():
+            if len(row) != 4:
+                raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
+            items.append(_parse_id(row[2].strip(), "item_id", line))
+            if (label := row[3].strip()) not in ("0", "1"):
+                raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
+            tasks.append(row[0])
+            workers.append(row[1])
+            dirty.append(label == "1")
+            lines.append(line)
+    return items, dirty, tuple(map(str.strip, workers)), tuple(map(str.strip, tasks)), lines
 
 
 def read_votes_csv(path, item_count: int) -> VoteLog:
     """Load a vote log from CSV (header task_id,worker_id,item_id,label).
 
     Row order is arrival order; rows must be grouped by task. The item
-    universe size is supplied out of band. The rows are checked a column
-    at a time; when a check fails, a re-scan names the offending line.
+    universe size is supplied out of band. A plain file is parsed in C,
+    any other row by row; an error names its line either way.
     """
     with _open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh, strict=True)
-        try:
-            header = next(reader, None)
-            rows = list(filter(None, reader))  # an empty line is an empty row
-        except csv.Error:
-            header = rows = None
+        text = fh.read()
+    columns = _plain_columns(text.replace("\r\n", "\n")) or _vote_rows(text)
     try:
-        if header is None or [h.strip() for h in header] != VOTES_CSV_HEADER:
-            raise ValueError("header")
-        if {*map(len, rows)} - {4}:  # drop the blank rows that hold spaces, then recheck
-            rows = [row for row in rows if len(row) > 1 or row[0].strip()]
-            if {*map(len, rows)} - {4}:
-                raise ValueError("row length")
-        cells = list(map(str.strip, chain.from_iterable(rows)))
-        task_ids, worker_ids, id_texts, labels = (tuple(cells[k::4]) for k in range(4))
-        joined = "".join(id_texts)
-        if not joined.isascii() or "_" in joined or not {*labels} <= {"0", "1"}:
-            raise ValueError("id or label")
-        dirty = np.fromiter(map("1".__eq__, labels), dtype=bool, count=len(labels))
-        return VoteLog(list(map(int, id_texts)), dirty, worker_ids, task_ids, item_count)
-    except ValueError as exc:  # the re-scan raises on any row-format error
-        lines = _vote_lines(path)  # so here exc is VoteLog's contract error
-        raise MalformedInputError(str(exc), lines[exc.position]) from None
+        return VoteLog(*columns[:4], item_count)
+    except MalformedInputError as exc:  # the log contract: the row scan names the vote's line
+        raise MalformedInputError(str(exc), _vote_rows(text)[4][exc.position]) from None
 
 
 def write_votes_csv(log: VoteLog, path) -> None:

@@ -101,7 +101,7 @@ def evaluate_trajectory(
         p * d,  # with n, the skew moment: a dirty vote adds 2(p-1)
     ]
     if truth is not None:
-        hit = truth.mask[log.item_ids]
+        hit = np.isin(log.item_ids, [*truth.dirty_set])  # sized by the log, not the universe
         deltas += [majority_step * hit, majority_step * ~hit]
     # Summed within each task one delta row at a time, so no int64 copy of them all.
     totals = np.cumsum([np.add.reduceat(x, starts, dtype=np.int64) for x in deltas], axis=1)

@@ -267,6 +267,39 @@ def votes_csv_texts(draw, item_count=4):
     return text + draw(st.sampled_from(["", ending, ending, '"open']))
 
 
+# Ids that int() and numpy's int64 reader may disagree on: signs, leading zeros,
+# the int64 edge (19 digits) and beyond it (19 and 20 digits), hex, floats, empty.
+_PLAIN_ODD_IDS = ["+1", "-0", "007", str(2**63 - 1), str(10**18), str(2**63), str(10**19),
+                  "0x1", "1e0", "1.", ""]
+
+
+@st.composite
+def plain_votes_csv_texts(draw, item_count=8):
+    """Hypothesis strategy: unpadded ASCII votes CSV text with LF line ends.
+
+    The header is exact and no cell is quoted, so the text is plain in the
+    reader's sense; up to two odd rows test what loadtxt accepts: an odd
+    id, a label 01, 2 or empty, a ragged row or a trailing comma. Rows may
+    be blank, the file may end without a newline or hold only the header.
+    """
+    task = st.sampled_from(["t0", "t1", "#t2", ""])  # "#" is no comment
+    worker = st.sampled_from(["w0", "w1", "w2", "'w3'"])
+    item = st.integers(0, item_count - 1).map(str)
+    label = st.sampled_from(["0", "1"])
+    vote = st.tuples(task, worker, item, label)
+    odd = st.one_of(
+        st.tuples(task, worker, st.sampled_from(_PLAIN_ODD_IDS), label),
+        st.tuples(task, worker, item, st.sampled_from(["01", "2", ""])),
+        st.lists(st.sampled_from(["t0", "w0", "1", ""]), min_size=1, max_size=6),
+        vote.map(lambda row: (*row, "")),
+    )
+    rows = draw(st.lists(st.one_of(vote, vote, vote, st.just(())), max_size=10))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    text = "\n".join(",".join(row) for row in [VOTES_HEADER, *rows])
+    return text + draw(st.sampled_from(["\n", "\n", ""]))
+
+
 @st.composite
 def truth_texts(draw, item_count=6):
     r"""Hypothesis strategy: truth file text, with odd entries and line ends.

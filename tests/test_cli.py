@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 import re
 import tempfile
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -152,6 +153,27 @@ class TestEstimate:
         assert main(["estimate", str(votes), "--n-items", str(10**15), "--out", str(out)]) == 0
         (row,) = read_rows(out)
         assert row["chao92_total"] == "1e+15"
+
+    def test_huge_universe_with_truth_exit_0(self, tmp_path):
+        # the truth is looked up at the logged items, so no array spans the universe
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n0,w0,0,1\n0,w0,1,1\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1\n")
+        out = tmp_path / "out.csv"
+        args = ["estimate", str(votes), "--n-items", str(10**15), "--truth", str(truth)]
+        assert main([*args, "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["truth"] == "1" and row["chao92_total"] == "1e+15"
+
+    def test_header_only_votes_file_quiet(self, tmp_path, capfd):
+        # a plain header-only body is never handed to numpy's reader, which would warn
+        votes = tmp_path / "votes.csv"
+        votes.write_text("task_id,worker_id,item_id,label\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", str(votes), "--n-items", "5"]) == 0
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("item", ["1_0", "\u0661", "\uff11"])
     @pytest.mark.parametrize("where", ["votes", "truth"])

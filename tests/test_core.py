@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from errest import core
 from errest.core import (
     FStatistics,
     MalformedInputError,
@@ -29,6 +30,7 @@ from helpers import (
     log_votes,
     make_log,
     parse_votes_oracle,
+    plain_votes_csv_texts,
     random_log,
     read_truth_oracle,
     single_item_log,
@@ -37,6 +39,8 @@ from helpers import (
     vote_logs,
     votes_csv_texts,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestTally:
@@ -215,6 +219,27 @@ def assert_same_columns(a, b):
     assert a.item_count == b.item_count
 
 
+def assert_matches_votes_oracle(text, item_count):
+    """read_votes_csv gives the oracle's columns, or its message and line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "votes.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = error = None
+        try:
+            *columns, lines = parse_votes_oracle(path)
+            expected = VoteLog(*columns, item_count)
+        except MalformedInputError as exc:
+            line = exc.line if exc.position is None else lines[exc.position]
+            message = str(exc) if exc.position is None else f"line {line}: {exc}"
+            error = (message, line)
+        if error is None:
+            assert_same_columns(read_votes_csv(path, item_count=item_count), expected)
+        else:
+            with pytest.raises(MalformedInputError) as got:
+                read_votes_csv(path, item_count=item_count)
+            assert (str(got.value), got.value.line) == error
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -251,24 +276,28 @@ class TestCsv:
     @example("task_id,worker_id,item_id,label\nt0,w0,0_2,1\n")  # int() reads 2
     @example("task_id,worker_id,item_id,label\r\n\r\nt0,w0,\u0661,1\r\n")  # int() reads 1
     def test_votes_match_row_by_row_oracle(self, text):
-        # the same columns, or the same message and line
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "votes.csv"
-            path.write_bytes(text.encode("utf-8"))
-            expected = error = None
-            try:
-                *columns, lines = parse_votes_oracle(path)
-                expected = VoteLog(*columns, 4)
-            except MalformedInputError as exc:
-                line = exc.line if exc.position is None else lines[exc.position]
-                message = str(exc) if exc.position is None else f"line {line}: {exc}"
-                error = (message, line)
-            if error is None:
-                assert_same_columns(read_votes_csv(path, item_count=4), expected)
-            else:
-                with pytest.raises(MalformedInputError) as got:
-                    read_votes_csv(path, item_count=4)
-                assert (str(got.value), got.value.line) == error
+        assert_matches_votes_oracle(text, item_count=4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(plain_votes_csv_texts())
+    @example("task_id,worker_id,item_id,label\nt0,w0,9223372036854775808,1\n")  # int64 overflow
+    @example("task_id,worker_id,item_id,label\nt0,w0,1,01\nt0,w1,2,1")
+    def test_plain_votes_match_row_by_row_oracle(self, text):
+        assert_matches_votes_oracle(text, item_count=8)
+
+    def test_plain_files_skip_row_scan(self, tmp_path, monkeypatch):
+        # the fixture and a write_votes_csv export are read by numpy's C reader alone
+        export = tmp_path / "votes.csv"
+        write_votes_csv(make_log([[(0, D), (3, C)], [(3, D)], [(9, C)]], item_count=10), export)
+        paths = (DATA / "fixture_votes.csv", export)
+        expected = [read_votes_csv(path, 10) for path in paths]
+
+        def row_scan(text):
+            raise AssertionError("a plain file reached the row scan")
+
+        monkeypatch.setattr(core, "_vote_rows", row_scan)
+        for path, log in zip(paths, expected):
+            assert_same_columns(read_votes_csv(path, 10), log)
 
     @settings(max_examples=400, deadline=None)
     @given(truth_texts())
