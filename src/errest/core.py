@@ -9,6 +9,7 @@ dirty exactly once, exactly twice, ...).
 
 import csv
 import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -251,10 +252,12 @@ def _plain_columns(text: str):
     if (len(raw.translate(None, _NOT_PLAIN)) < len(text) or not text.startswith(_PLAIN_HEADER)
             or lengths.max() > csv.field_size_limit() or not lengths[1:].any()):
         return None  # not plain, or no row after the header, on which loadtxt would warn
-    try:  # a ragged row, or an item_id that is no int64
-        votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PLAIN_VOTE, skiprows=1,
-                           comments=None, quotechar=None, ndmin=1)
-    except ValueError:
+    try:  # a ragged row, or an item_id that is no int64 (an older numpy reads "1.9" as 1, warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PLAIN_VOTE, skiprows=1,
+                               comments=None, quotechar=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
     labels = votes["label"]
     if not {*labels} <= {"0", "1"}:
@@ -262,30 +265,49 @@ def _plain_columns(text: str):
     return votes["item"].copy(), labels == "1", tuple(votes["worker"]), tuple(votes["task"])
 
 
+def _vote_cells(cells: list[str], lines: list[int]) -> tuple:
+    """The four columns of a flat cell list, checked at once; a failed check names its line."""
+    tasks, workers, items, labels = (tuple(map(str.strip, cells[k::4])) for k in range(4))
+    joined = "".join(items)
+    if joined.isascii() and "_" not in joined and {*labels} <= {"0", "1"}:
+        try:
+            return list(map(int, items)), [label == "1" for label in labels], workers, tasks
+        except ValueError:
+            pass
+    for item, label, line in zip(items, labels, lines):  # raises at the first bad vote
+        _parse_id(item, "item_id", line)
+        if label not in ("0", "1"):
+            raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
+
+
 def _vote_rows(text: str) -> tuple:
     """Scan a votes CSV row by row; raises naming the first bad line.
 
     Returns (item_ids, dirty, worker_ids, task_ids, lines), lines holding each vote's line.
     """
-    records = _csv_records(csv.reader(io.StringIO(text, newline=""), strict=True))
-    _, header = next(records, (1, None))
-    if header is None:
-        raise MalformedInputError("missing header row", 1)
-    if [h.strip() for h in header] != VOTES_CSV_HEADER:
-        raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
-    tasks, workers, items, dirty, lines = [], [], [], [], []
-    for line, row in records:  # the rows die here: keeping them as lists wakes the collector
-        if len(row) > 1 or row and row[0].strip():
-            if len(row) != 4:
-                raise MalformedInputError(f"expected 4 columns, got {len(row)}", line)
-            items.append(_parse_id(row[2].strip(), "item_id", line))
-            if (label := row[3].strip()) not in ("0", "1"):
-                raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
-            tasks.append(row[0])
-            workers.append(row[1])
-            dirty.append(label == "1")
-            lines.append(line)
-    return items, dirty, tuple(map(str.strip, workers)), tuple(map(str.strip, tasks)), lines
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    cells, lines, line, error = [], [], 1, None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedInputError("missing header row", 1)
+        if [h.strip() for h in header] != VOTES_CSV_HEADER:
+            raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
+        line = reader.line_num + 1  # where the next record starts
+        for row in reader:  # the rows die here: keeping them as lists wakes the collector
+            if len(row) == 4:
+                cells += row
+                lines.append(line)
+            elif len(row) > 1 or row and row[0].strip():
+                error = MalformedInputError(f"expected 4 columns, got {len(row)}", line)
+                break
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        error = MalformedInputError(str(exc), line)
+    columns = _vote_cells(cells, lines)  # a bad cell above the error's line is named first
+    if error:
+        raise error
+    return *columns, lines
 
 
 def read_votes_csv(path, item_count: int) -> VoteLog:

@@ -1,4 +1,6 @@
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -298,6 +300,24 @@ class TestCsv:
         monkeypatch.setattr(core, "_vote_rows", row_scan)
         for path, log in zip(paths, expected):
             assert_same_columns(read_votes_csv(path, 10), log)
+
+    @pytest.mark.parametrize("item", ["1.9", "1e0", "1."])
+    def test_item_read_via_float_goes_to_row_scan(self, tmp_path, monkeypatch, item):
+        # numpy from 1.23 until the deprecation expired parses an int64 through a float,
+        # truncating "1.9" to 1 with only a DeprecationWarning
+        loadtxt = np.loadtxt
+
+        def loadtxt_via_float(fname, dtype, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            as_float = [(name, "f8" if kind == "i8" else kind) for name, kind in dtype]
+            return loadtxt(fname, dtype=as_float, **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+        path = tmp_path / "votes.csv"
+        path.write_text(f"task_id,worker_id,item_id,label\nt0,w0,{item},1\n")
+        with pytest.raises(MalformedInputError, match=re.escape(f"line 2: item_id '{item}' is")):
+            read_votes_csv(path, item_count=4)
 
     @settings(max_examples=400, deadline=None)
     @given(truth_texts())
