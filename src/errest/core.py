@@ -10,9 +10,8 @@ dirty exactly once, exactly twice, ...).
 import csv
 import io
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -185,43 +184,44 @@ def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
     return fstats_from_tally(tally(log, upto_seq))
 
 
-@contextmanager
-def _open_utf8(path, newline=None):
-    """Open path as UTF-8 text past any byte-order mark; a decode error names the first
-    line that fails.
-
-    The decoder's message gives an offset inside a read chunk, so the file
-    is re-scanned in binary; splitlines ends lines where text mode does.
-    """
-    with open(path, newline=newline, encoding="utf-8-sig") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                lines = (text for chunk in raw for text in chunk.splitlines())
-                for line, text in enumerate(lines, 1):
-                    try:
-                        text.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        message = f"byte {text[exc.start]:#04x} is not valid UTF-8"
-                        raise MalformedInputError(message, line) from None
-            raise
-
-
-def _csv_records(reader) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line, row) for each record of a csv.reader.
-
-    line is where the record starts: a quoted field may carry a record
-    over several lines. A csv.Error becomes a MalformedInputError naming
-    the line of the record being read.
-    """
-    line = reader.line_num + 1
+def _read_text(path) -> str:
+    """The text of a UTF-8 file past any byte-order mark; a decode error names its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
-        for row in reader:
-            yield line, row
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # lines end where csv.reader and text mode end them
+        line = len((raw[:exc.start] + b"x").splitlines())
+        raise MalformedInputError(f"byte {raw[exc.start]:#04x} is not valid UTF-8", line) from None
+
+
+def _csv_cells(text: str) -> tuple:
+    """Scan CSV text into one flat cell list, each row as wide as the header.
+
+    Returns (header, cells, lines, error): lines holds each row's start line
+    (a quoted field may carry a row over several lines). A narrower row
+    whose only cell is blank, such as an empty line, is skipped. Any other
+    ragged row or a csv.Error past the header ends the scan as error, not
+    raised, so the caller can first name a bad cell above it.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    header, cells, lines, line, error = None, [], [], 1, None
+    try:
+        header = next(reader, None)
+        line = reader.line_num + 1  # where the next record starts
+        for row in reader:  # the rows die here: keeping them as lists wakes the collector
+            if len(row) == len(header):
+                cells += row
+                lines.append(line)
+            elif len(row) > 1 or row and row[0].strip():
+                error = MalformedInputError(f"expected {len(header)} columns, got {len(row)}", line)
+                break
             line = reader.line_num + 1
     except csv.Error as exc:
-        raise MalformedInputError(str(exc), line) from None
+        error = MalformedInputError(str(exc), line)
+    if header is None:
+        raise error or MalformedInputError("missing header row", 1)
+    return header, cells, lines, error
 
 
 def _parse_id(text: str, what: str, line: int) -> int:
@@ -285,25 +285,9 @@ def _vote_rows(text: str) -> tuple:
 
     Returns (item_ids, dirty, worker_ids, task_ids, lines), lines holding each vote's line.
     """
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
-    cells, lines, line, error = [], [], 1, None
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise MalformedInputError("missing header row", 1)
-        if [h.strip() for h in header] != VOTES_CSV_HEADER:
-            raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
-        line = reader.line_num + 1  # where the next record starts
-        for row in reader:  # the rows die here: keeping them as lists wakes the collector
-            if len(row) == 4:
-                cells += row
-                lines.append(line)
-            elif len(row) > 1 or row and row[0].strip():
-                error = MalformedInputError(f"expected 4 columns, got {len(row)}", line)
-                break
-            line = reader.line_num + 1
-    except csv.Error as exc:
-        error = MalformedInputError(str(exc), line)
+    header, cells, lines, error = _csv_cells(text)
+    if [h.strip() for h in header] != VOTES_CSV_HEADER:
+        raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
     columns = _vote_cells(cells, lines)  # a bad cell above the error's line is named first
     if error:
         raise error
@@ -317,8 +301,7 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     universe size is supplied out of band. A plain file is parsed in C,
     any other row by row; an error names its line either way.
     """
-    with _open_utf8(path, newline="") as fh:
-        text = fh.read()
+    text = _read_text(path)
     columns = _plain_columns(text.replace("\r\n", "\n")) or _vote_rows(text)
     try:
         return VoteLog(*columns[:4], item_count)
@@ -336,8 +319,8 @@ def write_votes_csv(log: VoteLog, path) -> None:
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:
     """Load the true-dirty item set, one item_id per line; a failed check walks the lines."""
-    with _open_utf8(path) as fh:
-        lines = fh.read().split("\n")  # not splitlines: that also ends lines at \x0c and others
+    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")  # not splitlines: that also ends lines at \x0c and others
     entries = list(filter(None, map(str.strip, lines)))
     joined = "".join(entries)
     if joined.isascii() and "_" not in joined:

@@ -6,11 +6,10 @@ stratum rule of the heuristic partition then picks the ambiguous pairs
 that can become the item universe for a cleaning pass.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import MalformedInputError, _csv_records, _open_utf8
+from .core import MalformedInputError, _csv_cells, _read_text
 
 __all__ = [
     "RecordTable",
@@ -59,31 +58,21 @@ class CandidatePair:
 def read_records_csv(path) -> RecordTable:
     """Load records from CSV with header record_id,field1,field2,...
 
-    Every row has the header's column count and a non-empty record_id;
-    RecordTable checks that ids are unique. Errors name the line on which
-    the offending record starts, which a quoted field may span.
+    Every row has the header's column count and a non-empty record_id, and
+    a row whose only cell is blank is skipped; RecordTable checks that ids
+    are unique. Errors name the line on which the offending record starts,
+    which a quoted field may span.
     """
-    ids = []
-    fields = []
-    lines = []
-    with _open_utf8(path, newline="") as fh:
-        records = _csv_records(csv.reader(fh, strict=True))
-        _, header = next(records, (1, None))
-        if header is None:
-            raise MalformedInputError("missing header row", 1)
-        if not header or header[0].strip() != "record_id":
-            raise MalformedInputError("first column must be record_id", 1)
-        for line, row in records:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedInputError(f"expected {len(header)} columns, got {len(row)}", line)
-            rid = row[0].strip()
-            if not rid:
-                raise MalformedInputError("empty record_id", line)
-            ids.append(rid)
-            fields.append(tuple(row[1:]))
-            lines.append(line)
+    header, cells, lines, error = _csv_cells(_read_text(path))
+    if not header or header[0].strip() != "record_id":
+        raise MalformedInputError("first column must be record_id", 1)
+    width = len(header)
+    ids = [rid.strip() for rid in cells[::width]]
+    if "" in ids:  # above the error's line, so named first
+        raise MalformedInputError("empty record_id", lines[ids.index("")])
+    if error:
+        raise error
+    fields = [tuple(cells[k + 1:k + width]) for k in range(0, len(cells), width)]
     try:
         return RecordTable(ids=tuple(ids), fields=tuple(fields))
     except MalformedInputError as exc:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TallyState, VoteLog
+from .core import TallyState, VoteLog, _read_text
 from .priority import EpsilonPolicy, HeuristicPartition, draw_task, partition
 
 __all__ = [
@@ -230,8 +230,7 @@ def permute_and_average(
 
 def load_scenario(path) -> SimScenario:
     """Read a scenario from flat-key JSON, rejecting unknown keys."""
-    with open(path, encoding="utf-8-sig") as fh:
-        raw = json.load(fh)
+    raw = json.loads(_read_text(path))
     if not isinstance(raw, dict):
         raise ValueError("scenario file must hold a JSON object")
     known = {f.name for f in fields(SimScenario)}

@@ -16,6 +16,7 @@ import numpy as np
 from errest.core import FStatistics, MalformedInputError, VoteLog, error_fstats, tally
 from errest.estimators import LOW_COVERAGE, EstimatorOutput, InsufficientDataError
 from errest.estimators import chao92, majority, nominal, vchao92
+from errest.pairs import RecordTable
 from errest.switch import Direction, Trend, d_switch, replay_switches, switch_fstats
 from errest.switch import switch_total_errors
 from errest.trajectory import TrajectoryRow
@@ -228,6 +229,50 @@ def read_truth_oracle(path, item_count):
     return frozenset(items)
 
 
+def read_records_oracle(path):
+    """A records CSV read one record at a time, tracking each record's first line.
+
+    Returns the RecordTable, or raises MalformedInputError naming the line
+    of the first malformed header, row or CSV record, or of the first
+    repeated record_id. An empty line is skipped, and so is a row whose only
+    cell is blank, unless the header has one column: there that row is a
+    record with an empty id.
+    """
+    ids, fields, lines = [], [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, strict=True)
+        header = None
+        while True:
+            line = reader.line_num + 1  # a quoted field may carry a record over lines
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise MalformedInputError(str(exc), line) from None
+            if header is None:
+                header = row
+                if not header or header[0].strip() != "record_id":
+                    raise MalformedInputError("first column must be record_id", 1)
+                continue
+            if not row or len(row) == 1 < len(header) and not row[0].strip():
+                continue
+            if len(row) != len(header):
+                raise MalformedInputError(f"expected {len(header)} columns, got {len(row)}", line)
+            rid = row[0].strip()
+            if not rid:
+                raise MalformedInputError("empty record_id", line)
+            ids.append(rid)
+            fields.append(tuple(row[1:]))
+            lines.append(line)
+    if header is None:
+        raise MalformedInputError("missing header row", 1)
+    try:
+        return RecordTable(ids=tuple(ids), fields=tuple(fields))
+    except MalformedInputError as exc:
+        raise MalformedInputError(str(exc), lines[exc.position]) from None
+
+
 _ODD_IDS = ["1_0", "0_2", "\u0661", "\uff11", "-1", "+1", "x", "", "1 2", "10" * 12, str(10**22)]
 
 
@@ -298,6 +343,36 @@ def plain_votes_csv_texts(draw, item_count=8):
         rows.insert(draw(st.integers(0, len(rows))), draw(odd))
     text = "\n".join(",".join(row) for row in [VOTES_HEADER, *rows])
     return text + draw(st.sampled_from(["\n", "\n", ""]))
+
+
+@st.composite
+def records_csv_texts(draw):
+    """Hypothesis strategy: records CSV text, mostly well formed.
+
+    The header has one to three columns. Rows may be blank or hold only
+    whitespace, repeat a record_id and carry quoted fields over several
+    lines; up to two odd rows are ragged, have an empty record_id or hold
+    a malformed quote. The text may start with a byte-order mark, end its
+    lines with CRLF and end inside an open quote.
+    """
+    header = ["record_id", "name", "city"][:draw(st.sampled_from([1, 2, 2, 3]))]
+    rid = st.sampled_from(["a", "b", "c", "d", "e", " a ", '"f\ng"', '"b"'])
+    cell = st.sampled_from(["x", "", " y ", '"p\nq"', '"r, s"', '"r""s"'])
+    record = st.tuples(rid, *[cell] * (len(header) - 1))
+    blank = st.sampled_from([(), (" ",), ("\t",)])
+    odd = st.one_of(
+        st.tuples(st.sampled_from(["", " ", '""']), *[cell] * (len(header) - 1)),
+        st.lists(cell, min_size=1, max_size=4),
+        st.just(('"a"b', "x")),
+    )
+    rows = draw(st.lists(st.one_of(record, record, record, blank), max_size=8))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    odd_header = [["id", *header[1:]], [" record_id ", *header[1:]], []]
+    rows.insert(0, draw(st.sampled_from([header] * 12 + odd_header)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = draw(st.sampled_from(["", "", "\ufeff"])) + ending.join(map(",".join, rows))
+    return text + draw(st.sampled_from(["", ending, ending, '"open']))
 
 
 @st.composite

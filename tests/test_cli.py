@@ -54,6 +54,23 @@ def test_out_of_range_unit_float_flag_exit_2(tmp_path, capsys, command, flag, va
     assert f"argument {flag}: must be in [0, 1]" in capsys.readouterr().err
 
 
+BOM = b"\xef\xbb\xbf"
+BIG_VOTES = b"task_id,worker_id,item_id,label\r\n" + "".join(
+    f"{k},w{k},{k},1\r\n" for k in range(900)).encode()
+BIG_TRUTH = "\r\n".join(map(str, range(900))).encode() + b"\r\n"
+NON_UTF8 = {  # (file bytes, line of the bad byte)
+    # the bad byte lies past the decoder's first chunk, so its offset is no line number
+    "votes": (BIG_VOTES + b"7,\xff,8,1\r\n", 902),
+    "truth": (BIG_TRUTH + b"7,\xff,8,1\r\n", 901),
+    "scenario": (json.dumps(dict(n_items=20, n_dirty=4, task_size=3, n_tasks=6, fn_rate=0.1,
+                                 fp_rate=0.05, seed=3)).encode()[:-1] + b', "\xff": 1}', 1),
+    # a decoder that skips the mark counts its offsets 3 bytes short
+    "votes-bom": (BOM + b"task_id,worker_id,item_id,label\n0,w0,0,1\n\xff,w1,1,1\n", 3),
+    "truth-bom": (BOM + b"1\n2\n\xff\n", 3),
+    "scenario-bom": (BOM + b'{"n_items": 20,\n "n_dirty": 4,\n "\xff": 1}\n', 3),
+}
+
+
 class TestEstimate:
     def test_golden_trajectory(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -195,20 +212,22 @@ class TestEstimate:
         assert message in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("where", ["votes", "truth"])
-    def test_non_utf8_file_exit_2_name_line(self, tmp_path, capsys, where):
-        # the bad byte lies past the decoder's first chunk, so its offset is no line number
-        rows = "".join(f"{k},w{k},{k},1\r\n" for k in range(900))
-        votes = tmp_path / "votes.csv"
-        truth = tmp_path / "truth.csv"
-        votes.write_bytes(b"task_id,worker_id,item_id,label\r\n" + rows.encode())
-        truth.write_bytes("\r\n".join(map(str, range(900))).encode() + b"\r\n")
-        bad = votes if where == "votes" else truth
-        bad.write_bytes(bad.read_bytes() + b"7,\xff,8,1\r\n")
-        code = main(["estimate", str(votes), "--n-items", "900", "--truth", str(truth)])
+    @pytest.mark.parametrize("case", list(NON_UTF8))
+    def test_non_utf8_file_exit_2_name_line(self, tmp_path, capsys, case):
+        data, line = NON_UTF8[case]
+        where = case.removesuffix("-bom")
+        paths = {name: tmp_path / f"{name}.in" for name in ("votes", "truth", "scenario")}
+        paths["votes"].write_bytes(BIG_VOTES)
+        paths["truth"].write_bytes(BIG_TRUTH)
+        paths[where].write_bytes(data)
+        if where == "scenario":
+            argv = ["simulate", str(paths["scenario"])]
+        else:
+            argv = ["estimate", str(paths["votes"]), "--n-items", "900",
+                    "--truth", str(paths["truth"])]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        line = 902 if where == "votes" else 901
         assert f"line {line}: byte 0xff is not valid UTF-8" in captured.err
         assert captured.out == ""
 
@@ -395,14 +414,15 @@ class TestPairs:
         "text, message",
         [
             ("record_id,name\na,x\n,y\n", "line 3: empty record_id"),
+            ("record_id\na\n  \n", "line 3: empty record_id"),
             ('record_id,name\na,x\nb,"unterminated\nc,z\nd,w\n',
              "line 3: unexpected end of data"),
             ('record_id,name\na,"two\nlines"\nb,x\na,y\n', "line 5: duplicate record_id 'a'"),
             ("record_id,name\na,x\nb\n", "line 3: expected 2 columns, got 1"),
             ("record_id,name\na,x\nb,y,z\n", "line 3: expected 2 columns, got 3"),
         ],
-        ids=["empty-id", "unterminated-quote", "duplicate-after-multiline", "short-row",
-             "long-row"],
+        ids=["empty-id", "blank-id-one-column", "unterminated-quote",
+             "duplicate-after-multiline", "short-row", "long-row"],
     )
     def test_malformed_records_exit_2_name_line(self, tmp_path, capsys, text, message):
         records = tmp_path / "records.csv"
@@ -413,14 +433,33 @@ class TestPairs:
         assert message in captured.err
         assert captured.out == ""
 
-    def test_non_utf8_records_exit_2_name_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'record_id,name\na,"two\nlines"\nb,caf\xe9\n', "line 4: byte 0xe9"),
+            (BOM + b"record_id,name\na,x\n\xffb,y\n", "line 3: byte 0xff"),
+            # the whole file is decoded before any row is checked, also past the first chunk
+            (b"record_id,name\na\n" + b"b,x\n" * 3000 + b"c,caf\xe9\n", "line 3003: byte 0xe9"),
+        ],
+        ids=["multiline", "bom", "before-row-error"],
+    )
+    def test_non_utf8_records_exit_2_name_line(self, tmp_path, capsys, data, message):
         records = tmp_path / "records.csv"
-        records.write_bytes(b'record_id,name\na,"two\nlines"\nb,caf\xe9\n')
+        records.write_bytes(data)
         code = main(["pairs", str(records), "--alpha", "0.1", "--beta", "0.9"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "line 4: byte 0xe9 is not valid UTF-8" in captured.err
+        assert f"{message} is not valid UTF-8" in captured.err
         assert captured.out == ""
+
+    def test_blank_records_row_skipped(self, tmp_path):
+        # a row of only blanks is no record, as in a votes file
+        records = tmp_path / "records.csv"
+        records.write_text("record_id,name\na,x\n  \nb,x\n")
+        out = tmp_path / "pairs.csv"
+        code = main(["pairs", str(records), "--alpha", "0.1", "--beta", "0.9", "--out", str(out)])
+        assert code == 0
+        assert [(r["left_id"], r["right_id"]) for r in read_rows(out)] == [("a", "b")]
 
     def test_bad_thresholds_exit_2(self, tmp_path):
         records = tmp_path / "records.csv"

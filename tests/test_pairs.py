@@ -1,10 +1,11 @@
+import tempfile
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from errest.core import MalformedInputError
 from errest.pairs import (
@@ -17,7 +18,7 @@ from errest.pairs import (
 )
 from errest.priority import stratum_rule
 
-from helpers import edit_distance_oracle
+from helpers import edit_distance_oracle, read_records_oracle, records_csv_texts
 
 DATA = Path(__file__).parent / "data"
 
@@ -156,6 +157,24 @@ class TestRecordsCsv:
         path.write_bytes(b"\xef\xbb\xbfrecord_id,name\nr0,a\n")
         t = read_records_csv(path)
         assert t.ids == ("r0",) and t.fields == (("a",),)
+
+    @settings(max_examples=400, deadline=None)
+    @given(records_csv_texts())
+    @example("record_id,name\na,x\n  \nb,y\n")  # a blank row is no record
+    @example("record_id\na\n  \nb\n")  # but a blank id under a one-column header
+    @example('record_id,name\n,x\nb\n"c\n')  # the empty id comes before the ragged row
+    def test_records_match_row_by_row_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                expected = read_records_oracle(path)
+            except MalformedInputError as exc:
+                with pytest.raises(MalformedInputError) as got:
+                    read_records_csv(path)
+                assert (str(got.value), got.value.line) == (str(exc), exc.line)
+            else:
+                assert read_records_csv(path) == expected
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "records.csv"
