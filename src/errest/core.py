@@ -43,62 +43,77 @@ class MalformedInputError(ValueError):
         super().__init__(message)
 
 
-def _codes(ids: Sequence[str]) -> np.ndarray:
-    """Intern ids as int codes numbered in order of first appearance."""
-    index = {key: code for code, key in enumerate(dict.fromkeys(ids))}
-    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
-
-
 @dataclass(frozen=True, eq=False)
 class VoteLog:
     """An ordered vote stream over items [0, item_count), held as columns.
 
-    Vote k is (item_ids[k], dirty[k], worker_ids[k], task_ids[k]); its
-    position k is its arrival index. Votes belonging to one task are
-    contiguous (tasks arrive whole), and a worker votes at most once per
-    item.
+    Vote k is (item_ids[k], dirty[k], worker_names[worker_codes[k]],
+    task_names[task_codes[k]]); its position k is its arrival index. Votes
+    of one task are contiguous (tasks arrive whole), and a worker votes at
+    most once per item. Codes index distinct names; read and simulated logs
+    number them in order of first appearance.
     """
 
     item_ids: np.ndarray
     dirty: np.ndarray
-    worker_ids: tuple[str, ...]
-    task_ids: tuple[str, ...]
+    worker_codes: np.ndarray
+    task_codes: np.ndarray
+    worker_names: tuple[str, ...]
+    task_names: tuple[str, ...]
     item_count: int
 
     # Task blocks as (task_id, start, end) positions with end exclusive.
     tasks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
 
+    @classmethod
+    def from_ids(cls, item_ids, dirty, worker_ids: Sequence[str], task_ids: Sequence[str],
+                 item_count: int) -> "VoteLog":
+        """A log from one str worker and task id per vote, coded in order of first appearance."""
+        codes, names = [], []
+        for ids in (worker_ids, task_ids):
+            names.append((*dict.fromkeys(ids),))
+            index = dict(zip(names[-1], range(len(names[-1]))))
+            codes.append(np.fromiter(map(index.__getitem__, ids), np.int64, count=len(ids)))
+        return cls(item_ids, dirty, *codes, *names, item_count)
+
     def __post_init__(self):
-        columns = (self.item_ids, self.dirty, self.worker_ids, self.task_ids)
+        columns = (self.item_ids, self.dirty, self.worker_codes, self.task_codes)
         if len({len(col) for col in columns}) > 1:
             raise ValueError("vote-log columns must have equal length")
+        codes = np.asarray(self.worker_codes, np.int64), np.asarray(self.task_codes, np.int64)
+        for code, names in zip(codes, (self.worker_names, self.task_names)):
+            if ((code < 0) | (code >= len(names))).any() or len(set(names)) < len(names):
+                raise ValueError("vote-log codes must index distinct names")
         # Check the raw ids before the int64 cast, which would overflow on huge ones;
         # the other checks see only the votes before the first id outside.
         raw = np.asarray(self.item_ids)
         outside = np.flatnonzero((raw < 0) | (raw >= self.item_count))
         end = int(outside[0]) if len(outside) else len(raw)
         items = np.asarray(raw[:end], dtype=np.int64)
-        workers, task_codes = _codes(self.worker_ids[:end]), _codes(self.task_ids[:end])
+        workers, task_codes = codes[0][:end], codes[1][:end]
         order = np.lexsort((workers, items))  # stable: a pair's votes stay in arrival order
         repeats = order[1:][(np.diff(items[order]) == 0) & (np.diff(workers[order]) == 0)]
-        # Codes follow first appearance: block k of a whole-task log has code k.
         starts = np.flatnonzero(np.diff(task_codes, prepend=-1))
-        splits = starts[task_codes[starts] != np.arange(len(starts))]
-        dup, split = int(repeats.min(initial=end)), int(splits.min(initial=end))
+        later = np.ones(len(starts), dtype=bool)  # a block whose code an earlier block has
+        later[np.unique(task_codes[starts], return_index=True)[1]] = False
+        dup, split = int(repeats.min(initial=end)), int(starts[later].min(initial=end))
         if dup < end and dup <= split:
-            message = f"worker {self.worker_ids[dup]!r} votes twice on item {items[dup]}"
+            message = f"worker {self.worker_names[workers[dup]]!r} votes twice on item {items[dup]}"
             raise MalformedInputError(message, position=dup)
         if split < end:
-            message = f"task {self.task_ids[split]!r} is split into non-contiguous blocks"
+            task = self.task_names[task_codes[split]]
+            message = f"task {task!r} is split into non-contiguous blocks"
             raise MalformedInputError(message, position=split)
         if end < len(raw):
             message = f"item_id {self.item_ids[end]} outside universe [0, {self.item_count})"
             raise MalformedInputError(message, position=end)
         bounds = starts.tolist() + [end]
-        blocks = [(self.task_ids[a], a, b) for a, b in zip(bounds, bounds[1:])]
-        object.__setattr__(self, "tasks", tuple(blocks))
+        names = map(self.task_names.__getitem__, task_codes[starts].tolist())
+        object.__setattr__(self, "tasks", tuple(zip(names, bounds, bounds[1:])))
         object.__setattr__(self, "item_ids", items)
         object.__setattr__(self, "dirty", np.asarray(self.dirty, dtype=bool))
+        object.__setattr__(self, "worker_codes", codes[0])
+        object.__setattr__(self, "task_codes", codes[1])
 
     def __len__(self) -> int:
         return len(self.item_ids)
@@ -237,7 +252,10 @@ def _parse_id(text: str, what: str, line: int) -> int:
 _PLAIN_HEADER = ",".join(VOTES_CSV_HEADER) + "\n"
 # What csv.reader or str.strip reads specially: the quote, NUL, ASCII whitespace but LF.
 _NOT_PLAIN = bytes(b for b in range(128) if chr(b).isspace() and b != 10) + b'"\0'
-_PLAIN_VOTE = [("task", "O"), ("worker", "O"), ("item", "i8"), ("label", "O")]
+# A plain read holds ids and labels as wide as the longest cell of their column. Past this
+# many bytes per file byte (one long id widens a whole column), about what the row scan's
+# str cells take on short ids, the row scan reads the file instead.
+_WIDTH_BUDGET = 32
 
 
 def _plain_columns(text: str):
@@ -245,53 +263,68 @@ def _plain_columns(text: str):
 
     Plain text is ASCII with the exact header, LF line ends, no byte of _NOT_PLAIN and
     no line over the csv field limit: csv.reader plus strip would give the same cells.
+    Ids and labels are read as bytes as wide as the longest cell of their column, which
+    the separators give; returns the VoteLog columns, ids as codes and names.
     """
     raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
-    breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
-    lengths = np.diff(breaks, prepend=-1, append=len(raw)) - 1  # of each line
-    if (len(raw.translate(None, _NOT_PLAIN)) < len(text) or not text.startswith(_PLAIN_HEADER)
-            or lengths.max() > csv.field_size_limit() or not lengths[1:].any()):
-        return None  # not plain, or no row after the header, on which loadtxt would warn
+    if len(raw.translate(None, _NOT_PLAIN)) < len(text) or not text.startswith(_PLAIN_HEADER):
+        return None
+    byte = np.frombuffer(raw, np.uint8)
+    breaks, commas = np.flatnonzero(byte == 10), np.flatnonzero(byte == 44)
+    starts, ends = np.append(0, breaks + 1), np.append(breaks, len(raw))  # of each line
+    full = ends > starts  # the lines that are not blank, the header first
+    rows = np.count_nonzero(full) - 1
+    if ((ends - starts).max() > csv.field_size_limit() or not rows
+            or len(commas) != 3 * rows + 3):
+        return None  # not plain, a ragged row, or no row, on which loadtxt would warn
+    # Each row's four cells lie between its five edges: the line's ends and its commas.
+    edges = np.column_stack((starts[full] - 1, commas.reshape(-1, 3), ends[full]))[1:]
+    widths = np.maximum(np.diff(edges).max(axis=0) - 1, 1).tolist()  # per column
+    if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw):
+        return None
+    kinds = [("task", f"S{widths[0]}"), ("worker", f"S{widths[1]}"), ("item", "i8"),
+             ("label", f"S{widths[3]}")]
     try:  # a ragged row, or an item_id that is no int64 (an older numpy reads "1.9" as 1, warning)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=_PLAIN_VOTE, skiprows=1,
+            votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=kinds, skiprows=1,
                                comments=None, quotechar=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
-    labels = votes["label"]
-    if not {*labels} <= {"0", "1"}:
+    dirty = votes["label"] == b"1"
+    if not (dirty | (votes["label"] == b"0")).all():
         return None
-    return votes["item"].copy(), labels == "1", tuple(votes["worker"]), tuple(votes["task"])
-
-
-def _vote_cells(cells: list[str], lines: list[int]) -> tuple:
-    """The four columns of a flat cell list, checked at once; a failed check names its line."""
-    tasks, workers, items, labels = (tuple(map(str.strip, cells[k::4])) for k in range(4))
-    joined = "".join(items)
-    if joined.isascii() and "_" not in joined and {*labels} <= {"0", "1"}:
-        try:
-            return list(map(int, items)), [label == "1" for label in labels], workers, tasks
-        except ValueError:
-            pass
-    for item, label, line in zip(items, labels, lines):  # raises at the first bad vote
-        _parse_id(item, "item_id", line)
-        if label not in ("0", "1"):
-            raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
+    codes, names = [], []
+    for column in (votes["worker"], votes["task"]):
+        unique, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # numbered in order of first appearance, as from_ids does
+        codes.append(np.argsort(order)[inverse])
+        names.append(tuple(unique[order].astype(str).tolist()))
+    return votes["item"].copy(), dirty, *codes, *names
 
 
 def _vote_rows(text: str) -> tuple:
     """Scan a votes CSV row by row; raises naming the first bad line.
 
     Returns (item_ids, dirty, worker_ids, task_ids, lines), lines holding each vote's line.
+    Ids and labels are checked a column at a time; a bad cell above a ragged row or a
+    csv.Error is named first.
     """
     header, cells, lines, error = _csv_cells(text)
     if [h.strip() for h in header] != VOTES_CSV_HEADER:
         raise MalformedInputError(f"header must be {','.join(VOTES_CSV_HEADER)}", 1)
-    columns = _vote_cells(cells, lines)  # a bad cell above the error's line is named first
-    if error:
-        raise error
-    return *columns, lines
+    tasks, workers, items, labels = (tuple(map(str.strip, cells[k::4])) for k in range(4))
+    joined = "".join(items)
+    if not error and joined.isascii() and "_" not in joined and {*labels} <= {"0", "1"}:
+        try:
+            return list(map(int, items)), [label == "1" for label in labels], workers, tasks, lines
+        except ValueError:
+            pass
+    for item, label, line in zip(items, labels, lines):  # raises at the first bad vote
+        _parse_id(item, "item_id", line)
+        if label not in ("0", "1"):
+            raise MalformedInputError(f"label {label!r} must be 0 or 1", line)
+    raise error
 
 
 def read_votes_csv(path, item_count: int) -> VoteLog:
@@ -302,9 +335,11 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     any other row by row; an error names its line either way.
     """
     text = _read_text(path)
-    columns = _plain_columns(text.replace("\r\n", "\n")) or _vote_rows(text)
+    columns, make = _plain_columns(text.replace("\r\n", "\n")), VoteLog
+    if columns is None:
+        columns, make = _vote_rows(text)[:4], VoteLog.from_ids
     try:
-        return VoteLog(*columns[:4], item_count)
+        return make(*columns, item_count)
     except MalformedInputError as exc:  # the log contract: the row scan names the vote's line
         raise MalformedInputError(str(exc), _vote_rows(text)[4][exc.position]) from None
 
@@ -313,8 +348,9 @@ def write_votes_csv(log: VoteLog, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VOTES_CSV_HEADER)
-        labels = log.dirty.astype(int).tolist()
-        writer.writerows(zip(log.task_ids, log.worker_ids, log.item_ids.tolist(), labels))
+        tasks = map(log.task_names.__getitem__, log.task_codes.tolist())
+        workers = map(log.worker_names.__getitem__, log.worker_codes.tolist())
+        writer.writerows(zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist()))
 
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:

@@ -13,7 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -142,14 +141,9 @@ def simulate(sc: SimScenario) -> tuple[VoteLog, GroundTruth]:
         draws[k] = rng.random(size)
     items, draws = items.ravel(), draws.ravel()
     dirty = np.where(truth_mask[items], draws >= sc.fn_rate, draws < sc.fp_rate)
-    tasks = range(sc.n_tasks)
-    log = VoteLog(
-        item_ids=items,
-        dirty=dirty,
-        worker_ids=tuple(chain.from_iterable([f"w{k}"] * size for k in tasks)),
-        task_ids=tuple(chain.from_iterable([str(k)] * size for k in tasks)),
-        item_count=sc.n_items,
-    )
+    codes, names = np.repeat(np.arange(sc.n_tasks), size), tuple(map(str, range(sc.n_tasks)))
+    # Task k goes to worker k alone, so one code column serves both.
+    log = VoteLog(items, dirty, codes, codes, tuple(f"w{k}" for k in names), names, sc.n_items)
     return log, GroundTruth(dirty_set=frozenset(int(i) for i in dirty_items), n_items=sc.n_items)
 
 
@@ -173,18 +167,18 @@ def scm(sample_size: int, task_size: int) -> int:
 
 
 def permute_tasks(log: VoteLog, order: Sequence[int]) -> VoteLog:
-    """Reorder whole tasks by `order`: a gather of the task blocks' positions."""
+    """Reorder whole tasks by `order`: one gather of the task blocks' positions."""
     blocks = log.tasks
     if sorted(order) != list(range(len(blocks))):
         raise ValueError("order must be a permutation of the task indices")
-    index = [pos for b in order for pos in range(blocks[b][1], blocks[b][2])]
+    bounds = np.array([(a, b) for _, a, b in blocks], dtype=np.int64).reshape(-1, 2)
+    starts, ends = bounds[list(order)].T
+    sizes = ends - starts
+    index = np.arange(len(log)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
     return VoteLog(
-        item_ids=log.item_ids[index],
-        dirty=log.dirty[index],
-        worker_ids=tuple(log.worker_ids[pos] for pos in index),
-        task_ids=tuple(log.task_ids[pos] for pos in index),
-        item_count=log.item_count,
-    )
+        log.item_ids[index], log.dirty[index], log.worker_codes[index],
+        task_codes=np.repeat(np.arange(len(blocks)), sizes), worker_names=log.worker_names,
+        task_names=tuple(blocks[b][0] for b in order), item_count=log.item_count)
 
 
 @dataclass(frozen=True)
@@ -228,9 +222,19 @@ def permute_and_average(
     return PermutedTrajectory(mean=mean, std=std, per_run=per_run)
 
 
+def _scenario_object(pairs: list) -> dict:
+    """A JSON object's dict, rejecting a repeated key, which json.loads keeps the last of."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ValueError(f"repeated scenario key: {key!r}")
+        raw[key] = value
+    return raw
+
+
 def load_scenario(path) -> SimScenario:
-    """Read a scenario from flat-key JSON, rejecting unknown keys."""
-    raw = json.loads(_read_text(path))
+    """Read a scenario from flat-key JSON, rejecting unknown and repeated keys."""
+    raw = json.loads(_read_text(path), object_pairs_hook=_scenario_object)
     if not isinstance(raw, dict):
         raise ValueError("scenario file must hold a JSON object")
     known = {f.name for f in fields(SimScenario)}

@@ -30,7 +30,13 @@ def make_log(task_votes, item_count):
         (item, dirty, f"w{k}", str(k)) for k, task in enumerate(task_votes) for item, dirty in task
     ]
     item_ids, dirty, worker_ids, task_ids = zip(*votes) if votes else ((),) * 4
-    return VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
+    return VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
+
+
+def vote_ids(log):
+    """The (worker_ids, task_ids) str tuples of a log, one id per vote: names[codes]."""
+    return (tuple(map(log.worker_names.__getitem__, log.worker_codes.tolist())),
+            tuple(map(log.task_names.__getitem__, log.task_codes.tolist())))
 
 
 def dirty_mask(truth):
@@ -49,11 +55,12 @@ def append_task(log, votes):
     """The log with one more task: the (item, dirty) votes of one new worker."""
     k = log.task_count
     items, dirty = zip(*votes)
-    return VoteLog(
+    worker_ids, task_ids = vote_ids(log)
+    return VoteLog.from_ids(
         log.item_ids.tolist() + list(items),
         log.dirty.tolist() + list(dirty),
-        log.worker_ids + (f"appended-w{k}",) * len(votes),
-        log.task_ids + (f"appended-t{k}",) * len(votes),
+        worker_ids + (f"appended-w{k}",) * len(votes),
+        task_ids + (f"appended-t{k}",) * len(votes),
         log.item_count,
     )
 
@@ -103,6 +110,45 @@ def vote_logs(draw, max_items=6, max_tasks=12, max_task_size=3):
 
 
 @st.composite
+def pooled_vote_logs(draw, max_items=6, max_tasks=12, max_task_size=3):
+    """Hypothesis strategy: a well-formed log whose tasks draw workers from a pool of three.
+
+    A worker may serve several tasks, so worker and task ids differ in number and
+    order; a vote on an item the task's worker has voted on before is dropped.
+    """
+    n_items = draw(st.integers(1, max_items))
+    item_ids, dirty, worker_ids, task_ids, seen = [], [], [], [], set()
+    for k in range(draw(st.integers(0, max_tasks))):
+        worker = draw(st.sampled_from(["w0", "w1", "w2"]))
+        items = draw(st.lists(st.integers(0, n_items - 1), min_size=1, max_size=max_task_size,
+                              unique=True))
+        for item in [i for i in items if (worker, i) not in seen]:
+            seen.add((worker, item))
+            item_ids.append(item)
+            dirty.append(draw(st.booleans()))
+            worker_ids.append(worker)
+            task_ids.append(f"t{k}")
+    return VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, n_items)
+
+
+def permute_tasks_oracle(log, order):
+    """permute_tasks on str ids: each task block's votes gathered in the new block order."""
+    items, dirty = log.item_ids.tolist(), log.dirty.tolist()
+    workers, tasks = vote_ids(log)
+    index = [pos for b in order for pos in range(log.tasks[b][1], log.tasks[b][2])]
+    return VoteLog.from_ids([items[pos] for pos in index], [dirty[pos] for pos in index],
+                            [workers[pos] for pos in index], [tasks[pos] for pos in index],
+                            log.item_count)
+
+
+def assert_first_appearance_codes(log):
+    """Codes are int64 and number distinct names in order of first appearance."""
+    for codes, names in ((log.worker_codes, log.worker_names), (log.task_codes, log.task_names)):
+        assert codes.dtype == np.int64 and len(set(names)) == len(names)
+        assert list(dict.fromkeys(codes.tolist())) == list(range(len(names)))
+
+
+@st.composite
 def broken_columns(draw):
     """Columns of a vote_logs() log with up to four injected contract violations.
 
@@ -112,7 +158,7 @@ def broken_columns(draw):
     worker-item pair, or gives it an earlier vote's task.
     """
     log = draw(vote_logs())
-    items, workers, tasks = log.item_ids.tolist(), list(log.worker_ids), list(log.task_ids)
+    items, (workers, tasks) = log.item_ids.tolist(), map(list, vote_ids(log))
     kinds = st.sets(st.sampled_from(["universe", "duplicate", "split"]), min_size=1)
     spots = st.lists(st.tuples(st.integers(0, len(items) - 1), kinds), max_size=4)
     for k, chosen in draw(spots) if items else ():

@@ -306,6 +306,15 @@ class TestSimulate:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_repeated_scenario_key_named_exit_2(self, tmp_path, capsys):
+        # json.loads alone keeps the last value: this scenario would run with n_items=30
+        path = tmp_path / "scenario.json"
+        path.write_text('{"n_items": 20, "n_dirty": 4, "task_size": 3, "n_tasks": 6, '
+                        '"n_items": 30, "seed": 1}')
+        code = main(["simulate", str(path)])
+        assert code == 2
+        assert "repeated scenario key: 'n_items'" in capsys.readouterr().err
+
     def test_summary_shape_and_truth_column(self, tmp_path):
         scenario = scenario_file(tmp_path, permutations=2, n_tasks=10)
         out = tmp_path / "out.csv"

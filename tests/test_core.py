@@ -1,5 +1,7 @@
 import re
 import tempfile
+import tracemalloc
+from unittest import mock
 import warnings
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from errest.core import (
 from helpers import (
     C,
     D,
+    assert_first_appearance_codes,
     broken_columns,
     brute_force_tally,
     contract_violation,
@@ -33,11 +36,13 @@ from helpers import (
     make_log,
     parse_votes_oracle,
     plain_votes_csv_texts,
+    pooled_vote_logs,
     random_log,
     read_truth_oracle,
     single_item_log,
     task_blocks,
     truth_texts,
+    vote_ids,
     vote_logs,
     votes_csv_texts,
 )
@@ -150,22 +155,22 @@ class TestFStatsFromTally:
 class TestVoteLogValidation:
     def test_duplicate_worker_item_rejected(self):
         with pytest.raises(MalformedInputError, match="votes twice"):
-            VoteLog([0, 0], [D, C], ("w0", "w0"), ("t0", "t0"), item_count=1)
+            VoteLog.from_ids([0, 0], [D, C], ("w0", "w0"), ("t0", "t0"), item_count=1)
 
     def test_split_task_rejected(self):
         with pytest.raises(MalformedInputError, match="non-contiguous"):
-            VoteLog(
+            VoteLog.from_ids(
                 [0, 1, 1], [D, D, D], ("w0", "w1", "w2"), ("t0", "t1", "t0"),
                 item_count=2,
             )
 
     def test_item_out_of_universe_rejected(self):
         with pytest.raises(MalformedInputError, match="universe"):
-            VoteLog([5], [D], ("w0",), ("t0",), item_count=3)
+            VoteLog.from_ids([5], [D], ("w0",), ("t0",), item_count=3)
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            VoteLog([0, 1], [D], ("w0", "w0"), ("t0", "t0"), item_count=2)
+            VoteLog.from_ids([0, 1], [D], ("w0", "w0"), ("t0", "t0"), item_count=2)
 
     @settings(max_examples=400, deadline=None)
     @given(broken_columns(), st.booleans())
@@ -178,11 +183,11 @@ class TestVoteLogValidation:
         dirty = [D] * len(task_ids)
         expected = contract_violation(item_ids, worker_ids, task_ids, item_count)
         if expected is None:
-            log = VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
+            log = VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
             assert list(log.tasks) == task_blocks(task_ids)
         else:
             with pytest.raises(MalformedInputError) as exc:
-                VoteLog(item_ids, dirty, worker_ids, task_ids, item_count)
+                VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
             assert (str(exc.value), exc.value.position) == expected
 
     @pytest.mark.parametrize(
@@ -195,8 +200,33 @@ class TestVoteLogValidation:
     def test_out_of_int64_universe_message_keeps_the_id(self, item_ids, message):
         # [-1, 2**63] becomes a float64 array: the message keeps the int
         with pytest.raises(MalformedInputError, match=message) as exc:
-            VoteLog(item_ids, [D] * 3, ("w0",) * 3, ("t0",) * 3, item_count=3)
+            VoteLog.from_ids(item_ids, [D] * 3, ("w0",) * 3, ("t0",) * 3, item_count=3)
         assert exc.value.position == 1
+
+    def test_codes_in_any_order(self):
+        # codes need not follow first appearance: only a block repeating an earlier
+        # block's task code splits that task
+        log = VoteLog([0, 1, 2], [D, C, D], [1, 1, 0], [1, 1, 0], ("w0", "w1"), ("a", "b"), 3)
+        assert log.tasks == (("b", 0, 2), ("a", 2, 3))
+        assert log.worker_codes.dtype == np.int64 and log.task_codes.dtype == np.int64
+        with pytest.raises(MalformedInputError, match="task 'b' is split") as exc:
+            VoteLog([0, 1, 2], [D, C, D], [1, 0, 1], [1, 0, 1], ("w0", "w1"), ("a", "b"), 3)
+        assert exc.value.position == 2
+
+    @pytest.mark.parametrize(
+        "worker_codes, worker_names",
+        [([0, 2], ("w0", "w1")), ([0, -1], ("w0", "w1")), ([0, 1], ("w0", "w0"))],
+    )
+    def test_codes_must_index_distinct_names(self, worker_codes, worker_names):
+        with pytest.raises(ValueError, match="codes must index distinct names"):
+            VoteLog([0, 1], [D, D], worker_codes, [0, 0], worker_names, ("t0",), 2)
+        with pytest.raises(ValueError, match="codes must index distinct names"):
+            VoteLog([0, 1], [D, D], [0, 0], worker_codes, ("t0",), worker_names, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(vote_logs(), pooled_vote_logs()))
+    def test_from_ids_codes_follow_first_appearance(self, log):
+        assert_first_appearance_codes(log)
 
     def test_task_blocks(self):
         log = make_log([[(0, D), (1, C)], [(2, D)]], item_count=3)
@@ -217,7 +247,7 @@ class TestFStatisticsType:
 def assert_same_columns(a, b):
     assert a.item_ids.tolist() == b.item_ids.tolist()
     assert a.dirty.tolist() == b.dirty.tolist()
-    assert a.worker_ids == b.worker_ids and a.task_ids == b.task_ids
+    assert vote_ids(a) == vote_ids(b)
     assert a.item_count == b.item_count
 
 
@@ -229,13 +259,15 @@ def assert_matches_votes_oracle(text, item_count):
         expected = error = None
         try:
             *columns, lines = parse_votes_oracle(path)
-            expected = VoteLog(*columns, item_count)
+            expected = VoteLog.from_ids(*columns, item_count)
         except MalformedInputError as exc:
             line = exc.line if exc.position is None else lines[exc.position]
             message = str(exc) if exc.position is None else f"line {line}: {exc}"
             error = (message, line)
         if error is None:
-            assert_same_columns(read_votes_csv(path, item_count=item_count), expected)
+            log = read_votes_csv(path, item_count=item_count)
+            assert_same_columns(log, expected)
+            assert_first_appearance_codes(log)
         else:
             with pytest.raises(MalformedInputError) as got:
                 read_votes_csv(path, item_count=item_count)
@@ -286,6 +318,42 @@ class TestCsv:
     @example("task_id,worker_id,item_id,label\nt0,w0,1,01\nt0,w1,2,1")
     def test_plain_votes_match_row_by_row_oracle(self, text):
         assert_matches_votes_oracle(text, item_count=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plain_votes_csv_texts())
+    def test_plain_read_codes_equal_row_scan_codes(self, text):
+        # the fixed-width bytes columns and the row scan's str columns give the same log
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "votes.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                plain = read_votes_csv(path, item_count=8)
+            except MalformedInputError:
+                return
+            with mock.patch.object(core, "_plain_columns", lambda text: None):
+                scanned = read_votes_csv(path, item_count=8)
+        for name in ("item_ids", "dirty", "worker_codes", "task_codes"):
+            assert getattr(plain, name).tolist() == getattr(scanned, name).tolist()
+        assert (plain.worker_names, plain.task_names) == (scanned.worker_names, scanned.task_names)
+
+    def test_long_id_goes_to_row_scan_within_width_budget(self, tmp_path):
+        # one 5,000-character worker id would widen the worker column of a fixed-width
+        # read to 5,000 bytes a row, 100 MB for 20k rows; the row scan reads the file
+        rows = [f"{k // 2000},w{k // 2000},{k % 2000},{k % 2}" for k in range(20_000)]
+        rows[7] = f"0,{'x' * 5000},7,1"
+        path = tmp_path / "votes.csv"
+        path.write_text("task_id,worker_id,item_id,label\n" + "\n".join(rows) + "\n")
+        assert core._plain_columns(path.read_text()) is None
+        *columns, lines = parse_votes_oracle(path)
+        expected = VoteLog.from_ids(*columns, item_count=2000)
+        tracemalloc.start()
+        try:
+            log = read_votes_csv(path, item_count=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_columns(log, expected)
+        assert peak <= core._WIDTH_BUDGET * path.stat().st_size
 
     def test_plain_files_skip_row_scan(self, tmp_path, monkeypatch):
         # the fixture and a write_votes_csv export are read by numpy's C reader alone
@@ -352,7 +420,7 @@ class TestCsv:
         rows = [("t0", "w0", 0, 1), ("t0", "w0", 0, 0), ("t1", "w1", 9, 1), ("t0", "w2", 1, 1)]
         task_ids, worker_ids, item_ids, labels = zip(*rows)
         with pytest.raises(MalformedInputError, match="votes twice") as exc:
-            VoteLog(item_ids, [x == 1 for x in labels], worker_ids, task_ids, 3)
+            VoteLog.from_ids(item_ids, [x == 1 for x in labels], worker_ids, task_ids, 3)
         assert exc.value.position == 1
         path = tmp_path / "votes.csv"
         lines = ["task_id,worker_id,item_id,label", ""] + [",".join(map(str, r)) for r in rows]

@@ -19,7 +19,14 @@ from errest.sim import (
 )
 from errest.trajectory import evaluate_trajectory
 
-from helpers import dirty_mask, log_votes, vote_logs
+from helpers import (
+    dirty_mask,
+    log_votes,
+    permute_tasks_oracle,
+    pooled_vote_logs,
+    vote_ids,
+    vote_logs,
+)
 
 
 def small_scenario(**kw):
@@ -38,7 +45,7 @@ class TestSimulate:
         assert truth_a.dirty_set == truth_b.dirty_set
         assert log_a.item_ids.tolist() == log_b.item_ids.tolist()
         assert log_a.dirty.tolist() == log_b.dirty.tolist()
-        assert log_a.task_ids == log_b.task_ids
+        assert vote_ids(log_a) == vote_ids(log_b)
 
     def test_different_seeds_differ(self):
         log_a, _ = simulate(small_scenario(seed=1))
@@ -155,9 +162,10 @@ class TestScm:
 def assert_blocks_kept(log, permuted):
     """Every task block of `permuted` holds the same votes as in `log`."""
     votes, permuted_votes = log_votes(log), log_votes(permuted)
-    original = {tid: (votes[s:e], log.worker_ids[s:e]) for tid, s, e in log.tasks}
+    workers, permuted_workers = vote_ids(log)[0], vote_ids(permuted)[0]
+    original = {tid: (votes[s:e], workers[s:e]) for tid, s, e in log.tasks}
     for tid, s, e in permuted.tasks:
-        assert (permuted_votes[s:e], permuted.worker_ids[s:e]) == original[tid]
+        assert (permuted_votes[s:e], permuted_workers[s:e]) == original[tid]
 
 
 class TestPermuteAndAverage:
@@ -208,6 +216,26 @@ class TestPermuteAndAverage:
         assert_blocks_kept(log, permuted)
         t, t_permuted = tally(log), tally(permuted)
         assert (t.pos == t_permuted.pos).all() and (t.neg == t_permuted.neg).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(vote_logs(), pooled_vote_logs()), st.data())
+    def test_permutation_matches_str_gather_oracle(self, log, data):
+        order = data.draw(st.permutations(range(log.task_count)))
+        permuted, expected = permute_tasks(log, order), permute_tasks_oracle(log, order)
+        assert log_votes(permuted) == log_votes(expected)
+        assert vote_ids(permuted) == vote_ids(expected)
+        assert permuted.tasks == expected.tasks
+        # task codes are renumbered to the new block order; worker codes are gathered
+        assert permuted.task_codes.tolist() == expected.task_codes.tolist()
+        assert permuted.task_names == expected.task_names
+        assert permuted.worker_names == log.worker_names
+
+    def test_permutation_of_simulated_log_matches_oracle(self):
+        log, _ = simulate(small_scenario(n_tasks=9))
+        order = [4, 0, 8, 2, 6, 1, 3, 7, 5]
+        permuted, expected = permute_tasks(log, order), permute_tasks_oracle(log, order)
+        assert log_votes(permuted) == log_votes(expected)
+        assert vote_ids(permuted) == vote_ids(expected) and permuted.tasks == expected.tasks
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
