@@ -53,6 +53,6 @@ from .sim import (
     simulate,
     srmse,
 )
-from .trajectory import TrajectoryRow, evaluate_trajectory
+from .trajectory import Trajectory, evaluate_trajectory
 
 __version__ = "0.1.0"

@@ -76,13 +76,12 @@ def run_estimate(
     truth = None
     if truth_csv is not None:
         truth = GroundTruth(read_truth_csv(truth_csv, n_items), n_items)
-    rows = evaluate_trajectory(log, shift=shift, trend_window=trend_window, truth=truth)
+    traj = evaluate_trajectory(log, shift=shift, trend_window=trend_window, truth=truth)
+    cells = [map(fmt, getattr(traj, name)) for name in TRAJECTORY_HEADER[:-1]]
     with _open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRAJECTORY_HEADER)
-        for row in rows:
-            cells = [fmt(getattr(row, name)) for name in TRAJECTORY_HEADER[:-1]]
-            writer.writerow(cells + [";".join(row.flags)])
+        writer.writerows(zip(*cells, map(";".join, traj.flags)))
 
 
 def run_simulate(
@@ -109,37 +108,23 @@ def run_simulate(
     if truth_out is not None:
         write_truth_csv(truth.dirty_set, truth_out)
 
+    # The truth of an estimate is n_dirty, except for the last two, xi_pos and xi_neg,
+    # whose truth is the switch count averaged with them.
     columns = ESTIMATE_COLUMNS + ("truth_xi_pos", "truth_xi_neg")
+    n_est = len(ESTIMATE_COLUMNS)
 
     def trajectory_matrix(permuted):
-        rows = evaluate_trajectory(
-            permuted, shift=shift, trend_window=trend_window, truth=truth
-        )
-        values = [[getattr(row, name) for name in columns] for row in rows]  # None -> NaN
-        return np.array(values, dtype=float).reshape(len(rows), len(columns))
+        traj = evaluate_trajectory(permuted, shift=shift, trend_window=trend_window, truth=truth)
+        return np.array([getattr(traj, name) for name in columns], dtype=float).T  # None -> NaN
 
     averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)
-    means = dict(zip(columns, averaged.mean.T))
-    stds = dict(zip(columns, averaged.std.T))
-
     with _open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        for k in range(log.task_count):
-            for name in ESTIMATE_COLUMNS:
-                if f"truth_{name}" in means:
-                    truth_cell = fmt(float(means[f"truth_{name}"][k]))
-                else:
-                    truth_cell = fmt(sc.n_dirty)
-                writer.writerow(
-                    [
-                        k,
-                        name,
-                        fmt(float(means[name][k])),
-                        fmt(float(stds[name][k])),
-                        truth_cell,
-                    ]
-                )
+        for k, (mean, std) in enumerate(zip(averaged.mean.tolist(), averaged.std.tolist())):
+            truths = [sc.n_dirty] * (n_est - 2) + mean[n_est:]
+            cells = (map(fmt, values) for values in (mean, std, truths))
+            writer.writerows(zip([k] * n_est, ESTIMATE_COLUMNS, *cells))  # n_est rows
 
 
 def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:

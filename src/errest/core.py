@@ -282,6 +282,7 @@ def _plain_columns(text: str):
     widths = np.maximum(np.diff(edges).max(axis=0) - 1, 1).tolist()  # per column
     if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw):
         return None
+    del raw, byte, breaks, commas, starts, ends, full, edges  # freed before the parse peaks
     kinds = [("task", f"S{widths[0]}"), ("worker", f"S{widths[1]}"), ("item", "i8"),
              ("label", f"S{widths[3]}")]
     try:  # a ragged row, or an item_id that is no int64 (an older numpy reads "1.9" as 1, warning)

@@ -67,6 +67,9 @@ class SimScenario:
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("n_items", "n_tasks"):  # numpy sizes arrays by them as int64
+            if getattr(self, name) >= 2**63:
+                raise ValueError(f"{name} must be below 2**63, got {getattr(self, name)!r}")
         if self.n_dirty > self.n_items:
             raise ValueError("n_dirty cannot exceed n_items")
         for name in ("fp_rate", "fn_rate", "epsilon", "heuristic_error"):
@@ -234,7 +237,10 @@ def _scenario_object(pairs: list) -> dict:
 
 def load_scenario(path) -> SimScenario:
     """Read a scenario from flat-key JSON, rejecting unknown and repeated keys."""
-    raw = json.loads(_read_text(path), object_pairs_hook=_scenario_object)
+    try:
+        raw = json.loads(_read_text(path), object_pairs_hook=_scenario_object)
+    except RecursionError:
+        raise ValueError("scenario file nests too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ValueError("scenario file must hold a JSON object")
     known = {f.name for f in fields(SimScenario)}

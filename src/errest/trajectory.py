@@ -16,7 +16,7 @@ from .estimators import LOW_COVERAGE, Moments, chao92, vchao92_columns
 from .sim import GroundTruth
 from .switch import SwitchReplay, d_switch, switch_total_errors
 
-__all__ = ["TrajectoryRow", "evaluate_trajectory"]
+__all__ = ["Trajectory", "evaluate_trajectory"]
 
 DEFAULT_SHIFT = 1
 DEFAULT_TREND_WINDOW = 10
@@ -33,28 +33,33 @@ ESTIMATE_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class TrajectoryRow:
-    """Snapshot of every estimator after one completed task.
+class Trajectory:
+    """Every estimator after each completed task: one list per column.
 
-    None marks an estimate that is undefined at this prefix (the CSV
-    shows a gap); flags carries degeneracy markers of the form
-    "column:marker". truth_xi_* are filled only when ground truth is
-    available (simulation runs).
+    Entry k of each list belongs to the prefix that ends with task k.
+    None marks an estimate that is undefined at that prefix (the CSV
+    shows a gap); flags holds degeneracy markers of the form
+    "column:marker". truth and truth_xi_* are filled only when ground
+    truth is available (simulation runs).
     """
 
-    task_index: int
-    nominal: int
-    majority: int
-    chao92_total: float
-    vchao92_total: float | None
-    switch_total: float
-    xi_pos: float
-    xi_neg: float
-    coverage_hat: float
-    truth: int | None = None
-    flags: tuple[str, ...] = ()
-    truth_xi_pos: int | None = None
-    truth_xi_neg: int | None = None
+    task_index: list[int]
+    nominal: list[int]
+    majority: list[int]
+    chao92_total: list[float]
+    vchao92_total: list[float | None]
+    switch_total: list[float]
+    xi_pos: list[float]
+    xi_neg: list[float]
+    coverage_hat: list[float]
+    truth: list[int | None]
+    flags: list[tuple[str, ...]]
+    truth_xi_pos: list[int | None]
+    truth_xi_neg: list[int | None]
+
+    def __len__(self) -> int:
+        # The prefix count; the benchmark's trajectory.prefixes count reads it.
+        return len(self.task_index)
 
 
 def evaluate_trajectory(
@@ -62,8 +67,8 @@ def evaluate_trajectory(
     shift: int = DEFAULT_SHIFT,
     trend_window: int = DEFAULT_TREND_WINDOW,
     truth: GroundTruth | None = None,
-) -> list[TrajectoryRow]:
-    """Replay the log and emit one TrajectoryRow per completed task.
+) -> Trajectory:
+    """Replay the log into a Trajectory with one entry per completed task.
 
     The discovery, majority and truth columns come from per-vote deltas
     of the fingerprint moments, accumulated over tasks; only the switch
@@ -73,8 +78,6 @@ def evaluate_trajectory(
     for name, value in (("shift", shift), ("trend_window", trend_window)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if not log.tasks:
-        return []
     n, n_tasks = log.item_count, log.task_count
     # Exact clamps: no multiplicity exceeds the vote count, no lag the task count.
     shift, trend_window = min(shift, len(log) + 1), min(trend_window, n_tasks)
@@ -124,12 +127,12 @@ def evaluate_trajectory(
     flags = [tuple(filter(None, row)) for row in zip(
         marks("chao92_total", chao), vchao_marks, marks("xi_pos", xi_pos), marks("xi_neg", xi_neg))]
     vchao_total = np.where(insufficient, None, vchao.total).tolist()
-    truth_columns = [[None] * n_tasks] * 3
+    truth_columns = [[None] * n_tasks for _ in range(3)]
     if truth is not None:
         dirty_count = len(truth.dirty_set)
         truth_columns = [[dirty_count] * n_tasks, (dirty_count - totals[7]).tolist(),
                          totals[8].tolist()]
-    columns = zip(range(n_tasks), c.tolist(), m.tolist(), chao.total.tolist(), vchao_total,
-                  total.tolist(), xi_pos.remaining.tolist(), xi_neg.remaining.tolist(),
-                  chao.coverage.tolist(), truth_columns[0], flags, *truth_columns[1:])
-    return [TrajectoryRow(*values) for values in columns]
+    return Trajectory(list(range(n_tasks)), c.tolist(), m.tolist(), chao.total.tolist(),
+                      vchao_total, total.tolist(), xi_pos.remaining.tolist(),
+                      xi_neg.remaining.tolist(), chao.coverage.tolist(), truth_columns[0], flags,
+                      *truth_columns[1:])

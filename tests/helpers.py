@@ -8,6 +8,7 @@ check.
 
 from collections import Counter
 import csv
+from dataclasses import fields
 import math
 
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from errest.estimators import chao92, majority, nominal, vchao92
 from errest.pairs import RecordTable
 from errest.switch import Direction, Trend, d_switch, replay_switches, switch_fstats
 from errest.switch import switch_total_errors
-from errest.trajectory import TrajectoryRow
+from errest.trajectory import Trajectory
 
 D, C = True, False  # a vote's `dirty` value
 
@@ -569,7 +570,7 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
     """
     n = log.item_count
     history = []
-    rows = []
+    columns = [[] for _ in fields(Trajectory)]
     for task_index, (_, _, end) in enumerate(log.tasks):
         t = tally(log, end)
         f = error_fstats(log, end)
@@ -597,12 +598,14 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
             truth_count = len(truth.dirty_set)
             truth_xi_pos = int((dirty & ~consensus).sum())
             truth_xi_neg = int((~dirty & consensus).sum())
-        rows.append(TrajectoryRow(
+        row = (
             task_index, nominal(t), m, chao.total_errors_hat, vchao_total, total,
             xi_pos.remaining_hat, xi_neg.remaining_hat, chao.coverage_hat, truth_count,
             tuple(flags), truth_xi_pos, truth_xi_neg,
-        ))
-    return rows
+        )
+        for column, value in zip(columns, row):
+            column.append(value)
+    return Trajectory(*columns)
 
 
 def edit_distance_oracle(a, b):

@@ -115,9 +115,9 @@ def test_criterion_4_false_positive_sensitivity():
     chao_finals, switch_finals = [], []
     for seed in range(20):
         log, truth = simulate(replace(sc, seed=seed))
-        row = evaluate_trajectory(log, truth=truth)[-1]
-        chao_finals.append(row.chao92_total)
-        switch_finals.append(row.switch_total)
+        traj = evaluate_trajectory(log, truth=truth)
+        chao_finals.append(traj.chao92_total[-1])
+        switch_finals.append(traj.switch_total[-1])
     overshoot = np.mean(chao_finals) >= 1.25 * 100
     s_switch, s_chao = srmse(switch_finals, 100.0), srmse(chao_finals, 100.0)
     ordered = s_switch < s_chao
@@ -137,11 +137,11 @@ def test_criterion_5_mixed_error_minimum():
     finals = {"chao92": [], "vchao92": [], "switch": []}
     for seed in range(20):
         log, truth = simulate(replace(sc, seed=seed))
-        row = evaluate_trajectory(log, truth=truth)[-1]
-        finals["chao92"].append(row.chao92_total)
-        finals["switch"].append(row.switch_total)
-        if row.vchao92_total is not None:
-            finals["vchao92"].append(row.vchao92_total)
+        traj = evaluate_trajectory(log, truth=truth)
+        finals["chao92"].append(traj.chao92_total[-1])
+        finals["switch"].append(traj.switch_total[-1])
+        if traj.vchao92_total[-1] is not None:
+            finals["vchao92"].append(traj.vchao92_total[-1])
     scores = {name: srmse(vals, 100.0) for name, vals in finals.items()}
     ok = scores["switch"] == min(scores.values())
     report(

@@ -292,6 +292,34 @@ class TestSimulate:
         assert main(["simulate", str(scenario)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n_items", "n_tasks"])
+    def test_size_beyond_int64_named_exit_2(self, tmp_path, capsys, key):
+        sizes = dict(n_items=1, n_dirty=0, task_size=1, n_tasks=1)
+        scenario = scenario_file(tmp_path, **{**sizes, key: 10**20})
+        assert main(["simulate", str(scenario)]) == 2
+        assert f"{key} must be below 2**63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", 2**80), ("task_size", 10**20)])
+    def test_unbounded_key_beyond_int64_exit_0(self, tmp_path, key, value):
+        scenario = scenario_file(tmp_path, n_tasks=3, **{key: value})
+        assert main(["simulate", str(scenario), "--out", str(tmp_path / "out.csv")]) == 0
+
+    def test_deeply_nested_scenario_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["simulate", str(path)]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("permutations", [1, 10])
+    def test_golden_summary(self, tmp_path, permutations):
+        out = tmp_path / "out.csv"
+        code = main([
+            "simulate", str(DATA / "fixture_scenario.json"),
+            "--permutations", str(permutations), "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (DATA / f"fixture_summary_p{permutations}.csv").read_bytes()
+
     def test_deterministic_output(self, tmp_path):
         scenario = scenario_file(tmp_path)
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -156,7 +156,7 @@ class TestHeuristicScenarios:
         finals = []
         for seed in range(10):
             log, truth = simulate(replace(sc, seed=seed))
-            d_hat_on_band = evaluate_trajectory(log, truth=truth)[-1].switch_total
+            d_hat_on_band = evaluate_trajectory(log, truth=truth).switch_total[-1]
             finals.append(total_with_perfect_heuristic(d_hat_on_band, self.band(log)))
         assert abs(np.mean(finals) - 100.0) <= 10.0
 
@@ -176,8 +176,7 @@ class TestHeuristicScenarios:
         finals = []
         for seed in range(10):
             log, truth = simulate(replace(sc, seed=seed))
-            row = evaluate_trajectory(log, truth=truth)[-1]
-            finals.append(row.switch_total)
+            finals.append(evaluate_trajectory(log, truth=truth).switch_total[-1])
         assert 75.0 <= np.mean(finals) <= 125.0
 
     @staticmethod

@@ -170,8 +170,7 @@ def assert_blocks_kept(log, permuted):
 
 class TestPermuteAndAverage:
     def nominal_trajectory(self, log):
-        rows = evaluate_trajectory(log)
-        return [r.nominal for r in rows]
+        return evaluate_trajectory(log).nominal
 
     def test_r1_equals_single_run(self):
         log, _ = simulate(small_scenario())
@@ -183,8 +182,7 @@ class TestPermuteAndAverage:
         log, _ = simulate(small_scenario())
 
         def multi(permuted):
-            rows = evaluate_trajectory(permuted)
-            return [r.chao92_total for r in rows]
+            return evaluate_trajectory(permuted).chao92_total
 
         for estimator in (self.nominal_trajectory, multi):
             out = permute_and_average(log, 5, estimator, seed=9)
@@ -195,7 +193,7 @@ class TestPermuteAndAverage:
         log, _ = simulate(small_scenario())
 
         def switch_traj(permuted):
-            return [r.switch_total for r in evaluate_trajectory(permuted)]
+            return evaluate_trajectory(permuted).switch_total
 
         out = permute_and_average(log, 5, switch_traj, seed=9)
         assert np.isfinite(out.std).all()
@@ -245,8 +243,8 @@ class TestPermuteAndAverage:
         columns = ("nominal", "majority", "chao92_total", "vchao92_total", "coverage_hat")
 
         def final(votes):
-            rows = evaluate_trajectory(votes)[-1:]
-            return [tuple(getattr(row, c) for c in columns) for row in rows]
+            traj = evaluate_trajectory(votes)
+            return [getattr(traj, c)[-1:] for c in columns]
 
         assert final(permute_tasks(log, order)) == final(log)
 
@@ -295,10 +293,10 @@ class TestScenarioOrderings:
         chao_finals, vchao_finals = [], []
         for seed in range(20):
             log, truth = simulate(replace(sc, seed=seed))
-            row = evaluate_trajectory(log, truth=truth)[-1]
-            chao_finals.append(row.chao92_total)
-            if row.vchao92_total is not None:
-                vchao_finals.append(row.vchao92_total)
+            traj = evaluate_trajectory(log, truth=truth)
+            chao_finals.append(traj.chao92_total[-1])
+            if traj.vchao92_total[-1] is not None:
+                vchao_finals.append(traj.vchao92_total[-1])
         assert srmse(chao_finals, 100.0) < srmse(vchao_finals, 100.0)
         assert abs(np.mean(chao_finals) - 100.0) <= 5.0
 

@@ -17,14 +17,21 @@ class TestArguments:
 
 
 class TestIncrementalReplay:
+    @pytest.mark.parametrize("truth", [None, GroundTruth(frozenset({1}), 3)])
+    def test_empty_log_gives_empty_columns(self, truth):
+        log = make_log([], item_count=3)
+        traj = evaluate_trajectory(log, shift=5, trend_window=4, truth=truth)
+        assert len(traj) == 0
+        assert traj == trajectory_oracle(log, 5, 4, truth)
+
     @settings(max_examples=100, deadline=None)
     @given(vote_logs())
     def test_rows_equal_from_scratch_prefixes(self, log):
         n = log.item_count
         truth = GroundTruth(frozenset(range(0, n, 2)), n)
-        rows = evaluate_trajectory(log, truth=truth)
-        assert len(rows) == log.task_count
-        assert rows == trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
+        traj = evaluate_trajectory(log, truth=truth)
+        assert len(traj) == log.task_count
+        assert traj == trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -40,15 +47,18 @@ class TestIncrementalReplay:
         if with_truth:
             dirty = data.draw(st.frozensets(st.integers(0, log.item_count - 1)))
             truth = GroundTruth(dirty, log.item_count)
-        rows = evaluate_trajectory(log, shift=shift, trend_window=window, truth=truth)
-        assert rows == trajectory_oracle(log, shift, window, truth)
+        traj = evaluate_trajectory(log, shift=shift, trend_window=window, truth=truth)
+        assert traj == trajectory_oracle(log, shift, window, truth)
 
     @settings(max_examples=100, deadline=None)
     @given(vote_logs())
     def test_row_invariants(self, log):
         n = log.item_count
-        for row in evaluate_trajectory(log):
-            assert row.chao92_total >= row.nominal
-            assert 0.0 <= row.coverage_hat <= 1.0
-            assert 0.0 <= row.switch_total <= n
-            assert row.xi_pos >= 0.0 and row.xi_neg >= 0.0
+        traj = evaluate_trajectory(log)
+        for chao, nominal, coverage, switch, xi_pos, xi_neg in zip(
+                traj.chao92_total, traj.nominal, traj.coverage_hat, traj.switch_total,
+                traj.xi_pos, traj.xi_neg):
+            assert chao >= nominal
+            assert 0.0 <= coverage <= 1.0
+            assert 0.0 <= switch <= n
+            assert xi_pos >= 0.0 and xi_neg >= 0.0
