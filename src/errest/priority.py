@@ -102,14 +102,6 @@ class EpsilonPolicy:
         self.rng = np.random.default_rng(self.seed)
 
 
-def _draw_from(stratum: tuple[int, ...], chosen: set[int], rng) -> int:
-    # Rejection sampling; callers guarantee the stratum is not exhausted.
-    while True:
-        item = stratum[int(rng.integers(len(stratum)))]
-        if item not in chosen:
-            return item
-
-
 def draw_task(
     p: HeuristicPartition, policy: EpsilonPolicy, size: int
 ) -> tuple[int, ...]:
@@ -119,16 +111,31 @@ def draw_task(
     1 - epsilon (the complement otherwise), then draws uniformly among
     that stratum's items not already in the task. A stratum that is
     empty or exhausted falls back to the other one with a warning.
+
+    The PCG64 words of `policy.rng` are decoded here exactly as the
+    scalar `rng.random()` and `rng.integers(len(stratum))` calls per slot
+    would consume them, so picks and generator state match those calls;
+    any other bit generator raises TypeError.
     """
     if size < 0 or size > p.universe_size:
         raise ValueError(f"task size {size} outside [0, {p.universe_size}]")
+    bg = policy.rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):
+        raise TypeError(f"draw_task decodes PCG64 words, not {type(bg).__name__}")
+    start = bg.state
+    has_spare, spare = start["has_uint32"], start["uinteger"]  # the buffered 32-bit half
+    words, used = [], 0
+    ambiguous_below = (1.0 - policy.epsilon) * 2**53  # random() is (word >> 11) * 2**-53
+    strata = (p.complement, p.ambiguous)  # indexed by "wants the ambiguous band"
+    taken = [0, 0]  # draws taken per stratum
     chosen: set[int] = set()
-    taken = {True: 0, False: 0}  # draws taken per stratum (True = ambiguous)
-    strata = {True: p.ambiguous, False: p.complement}
     warned = False
     picks = []
     for _ in range(size):
-        want_ambiguous = policy.rng.random() < 1.0 - policy.epsilon
+        if used == len(words):
+            words += bg.random_raw(2 * size).tolist()
+        want_ambiguous = words[used] >> 11 < ambiguous_below
+        used += 1
         if taken[want_ambiguous] >= len(strata[want_ambiguous]):
             if not warned:
                 warnings.warn(
@@ -138,10 +145,35 @@ def draw_task(
                 )
                 warned = True
             want_ambiguous = not want_ambiguous
-        item = _draw_from(strata[want_ambiguous], chosen, policy.rng)
+        stratum = strata[want_ambiguous]
+        n = len(stratum)
+        while True:  # integers(n) until an item not yet in the task comes up
+            if n > 1:
+                # Lemire's method on 32-bit halves, numpy's path for n <= 2**32; a stratum
+                # tuple never holds that many items, so there is no 64-bit branch.
+                if has_spare:
+                    half, has_spare = spare, 0  # numpy leaves a used half in `uinteger`
+                else:
+                    if used == len(words):
+                        words += bg.random_raw(2 * size).tolist()
+                    half, has_spare, spare = words[used] & 0xFFFFFFFF, 1, words[used] >> 32
+                    used += 1
+                m = half * n
+                if m & 0xFFFFFFFF < (2**32 - n) % n:
+                    continue
+                item = stratum[m >> 32]
+            else:  # numpy returns the one value of a one-value range and reads no bits
+                item = stratum[0]
+            if item not in chosen:
+                break
         chosen.add(item)
         taken[want_ambiguous] += 1
         picks.append(item)
+    # Keep exactly the words used: random_raw moves the 128-bit state and leaves the
+    # spare half alone, so replay them from the start state with the final spare.
+    start["has_uint32"], start["uinteger"] = has_spare, spare
+    bg.state = start
+    bg.random_raw(used)
     return tuple(picks)
 
 

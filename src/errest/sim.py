@@ -70,6 +70,9 @@ class SimScenario:
         for name in ("n_items", "n_tasks"):  # numpy sizes arrays by them as int64
             if getattr(self, name) >= 2**63:
                 raise ValueError(f"{name} must be below 2**63, got {getattr(self, name)!r}")
+        votes = self.n_tasks * min(self.task_size, self.n_items)  # simulate holds 8 bytes each
+        if votes >= 2**60:
+            raise ValueError(f"n_tasks * task_size (at most n_items) must be below 2**60: {votes}")
         if self.n_dirty > self.n_items:
             raise ValueError("n_dirty cannot exceed n_items")
         for name in ("fp_rate", "fn_rate", "epsilon", "heuristic_error"):

@@ -10,6 +10,7 @@ from collections import Counter
 import csv
 from dataclasses import fields
 import math
+import warnings
 
 from hypothesis import strategies as st
 import numpy as np
@@ -140,6 +141,37 @@ def permute_tasks_oracle(log, order):
     return VoteLog.from_ids([items[pos] for pos in index], [dirty[pos] for pos in index],
                             [workers[pos] for pos in index], [tasks[pos] for pos in index],
                             log.item_count)
+
+
+def draw_task_oracle(p, policy, size):
+    """draw_task through the Generator's scalar calls: one random() per slot, then
+    integers(len(stratum)) until an item not yet in the task comes up."""
+    if size < 0 or size > p.universe_size:
+        raise ValueError(f"task size {size} outside [0, {p.universe_size}]")
+    chosen = set()
+    taken = {True: 0, False: 0}  # draws taken per stratum (True = ambiguous)
+    strata = {True: p.ambiguous, False: p.complement}
+    warned = False
+    picks = []
+    for _ in range(size):
+        want_ambiguous = policy.rng.random() < 1.0 - policy.epsilon
+        if taken[want_ambiguous] >= len(strata[want_ambiguous]):
+            if not warned:
+                warnings.warn(
+                    "requested stratum empty or exhausted; falling back to the other",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                warned = True
+            want_ambiguous = not want_ambiguous
+        stratum = strata[want_ambiguous]
+        item = stratum[int(policy.rng.integers(len(stratum)))]
+        while item in chosen:
+            item = stratum[int(policy.rng.integers(len(stratum)))]
+        chosen.add(item)
+        taken[want_ambiguous] += 1
+        picks.append(item)
+    return tuple(picks)
 
 
 def assert_first_appearance_codes(log):

@@ -304,6 +304,17 @@ class TestSimulate:
         scenario = scenario_file(tmp_path, n_tasks=3, **{key: value})
         assert main(["simulate", str(scenario), "--out", str(tmp_path / "out.csv")]) == 0
 
+    @pytest.mark.parametrize("sizes", [
+        dict(n_items=1, n_dirty=0, task_size=1, n_tasks=2**63 - 1),
+        dict(n_items=3, n_dirty=1, task_size=2, n_tasks=2**62),
+    ])
+    def test_votes_beyond_array_size_named_exit_2(self, tmp_path, capsys, sizes):
+        # numpy's own "array is too big" message would name no key
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(sizes))
+        assert main(["simulate", str(path)]) == 2
+        assert "n_tasks * task_size" in capsys.readouterr().err
+
     def test_deeply_nested_scenario_exit_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text("[" * 100000 + "]" * 100000)
@@ -319,6 +330,18 @@ class TestSimulate:
         ])
         assert code == 0
         assert out.read_bytes() == (DATA / f"fixture_summary_p{permutations}.csv").read_bytes()
+
+    def test_golden_votes_through_stratum_fallback(self, tmp_path):
+        # epsilon 0 and an error-free heuristic put the 2 dirty items alone in the
+        # ambiguous band, so every task of 3 exhausts it and falls back once
+        scenario = scenario_file(tmp_path, n_items=10, n_dirty=2, task_size=3, n_tasks=8,
+                                 epsilon=0.0, permutations=1, prioritize=True)
+        votes = tmp_path / "votes.csv"
+        with pytest.warns(RuntimeWarning, match="requested stratum empty or exhausted"):
+            code = main(["simulate", str(scenario), "--out", str(tmp_path / "out.csv"),
+                         "--votes-out", str(votes)])
+        assert code == 0
+        assert votes.read_bytes() == (DATA / "fixture_sim_votes_exhausted.csv").read_bytes()
 
     def test_deterministic_output(self, tmp_path):
         scenario = scenario_file(tmp_path)

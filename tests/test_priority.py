@@ -1,12 +1,19 @@
+import warnings
+
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from errest.priority import (
     EpsilonPolicy,
+    HeuristicPartition,
     draw_task,
     partition,
     total_with_perfect_heuristic,
 )
+from helpers import draw_task_oracle
+
+unit_scores = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
 
 
 class TestPartition:
@@ -120,6 +127,58 @@ class TestDrawTask:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             EpsilonPolicy(epsilon=1.2, seed=0)
+
+    def test_non_pcg64_generator_rejected_untouched(self):
+        policy = EpsilonPolicy(seed=0)
+        policy.rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="MT19937"):
+            draw_task(self.band_partition(5, 5), policy, 3)
+        fresh = np.random.Generator(np.random.MT19937(0))
+        assert policy.rng.random(4).tolist() == fresh.random(4).tolist()
+
+    def test_rejection_in_a_huge_stratum_same_stream(self):
+        # With n = 3 * 2**30, Lemire's method rejects a quarter of the halves;
+        # a range stands in for a stratum tuple of that size.
+        p = HeuristicPartition(ambiguous=range(3 * 2**30), auto_dirty=(), auto_clean=())
+        results = []
+        for draw in (draw_task, draw_task_oracle):
+            policy = EpsilonPolicy(epsilon=0.0, seed=5)
+            picks = [draw(p, policy, 40) for _ in range(3)]
+            results.append((picks, policy.rng.bit_generator.state))
+        assert results[0] == results[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(unit_scores, max_size=60),
+        band=st.lists(unit_scores, min_size=2, max_size=2).map(sorted),
+        epsilon=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        spare=st.booleans(),
+    )
+    @example(scores=[0.1, 0.95, 0.2], band=[0.5, 0.9], epsilon=0.0, seed=1,
+             fractions=[1.0], spare=False)  # empty ambiguous band
+    @example(scores=[0.6, 0.1, 0.2, 0.3], band=[0.5, 0.9], epsilon=0.5, seed=2,
+             fractions=[1.0, 0.5], spare=True)  # a one-item stratum
+    @example(scores=[0.6, 0.7, 0.1, 0.2, 0.3], band=[0.5, 0.9], epsilon=0.0, seed=3,
+             fractions=[0.8], spare=False)  # the band runs out mid-task
+    def test_same_stream_as_scalar_calls(self, scores, band, epsilon, seed, fractions, spare):
+        # Twin policies: the raw-word decode against one random() and one
+        # integers(n) call per draw, from the same seed and spare half.
+        p = partition(scores, *band)
+        results = []
+        for draw in (draw_task, draw_task_oracle):
+            policy = EpsilonPolicy(epsilon=epsilon, seed=seed)
+            if spare:
+                policy.rng.integers(7)  # buffers the high half of a word
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                picks = [draw(p, policy, int(f * p.universe_size)) for f in fractions]
+            state = policy.rng.bit_generator.state
+            after = (policy.rng.random(), int(policy.rng.integers(1000)))
+            warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
+            results.append((picks, warned, state, after))
+        assert results[0] == results[1]
 
 
 class TestTotals:
