@@ -5,16 +5,16 @@ errors, 3 for internal invariant violations.
 """
 
 import argparse
-import csv
 import math
 import sys
 import traceback
-from contextlib import contextmanager
 from dataclasses import replace
+from itertools import chain, count
 
 import numpy as np
 
 from .core import (
+    _write_rows,
     read_truth_csv,
     read_votes_csv,
     write_truth_csv,
@@ -54,15 +54,6 @@ def fmt(value) -> str:
     return str(value)
 
 
-@contextmanager
-def _open_out(path):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-
-
 def run_estimate(
     votes_csv,
     n_items: int,
@@ -78,10 +69,7 @@ def run_estimate(
         truth = GroundTruth(read_truth_csv(truth_csv, n_items), n_items)
     traj = evaluate_trajectory(log, shift=shift, trend_window=trend_window, truth=truth)
     cells = [map(fmt, getattr(traj, name)) for name in TRAJECTORY_HEADER[:-1]]
-    with _open_out(out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_HEADER)
-        writer.writerows(zip(*cells, map(";".join, traj.flags)))
+    _write_rows(out, chain([TRAJECTORY_HEADER], zip(*cells, map(";".join, traj.flags))))
 
 
 def run_simulate(
@@ -98,6 +86,8 @@ def run_simulate(
     Keyword overrides (seed, permutations, epsilon, ...) replace the
     corresponding scenario fields.
     """
+    if [out, votes_out, truth_out].count("-") > 1:
+        raise ValueError("only one of --out, --votes-out and --truth-out may be - (stdout)")
     sc = load_scenario(scenario_json)
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
@@ -118,26 +108,22 @@ def run_simulate(
         return np.array([getattr(traj, name) for name in columns], dtype=float).T  # None -> NaN
 
     averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)
-    with _open_out(out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for k, (mean, std) in enumerate(zip(averaged.mean.tolist(), averaged.std.tolist())):
-            truths = [sc.n_dirty] * (n_est - 2) + mean[n_est:]
-            cells = (map(fmt, values) for values in (mean, std, truths))
-            writer.writerows(zip([k] * n_est, ESTIMATE_COLUMNS, *cells))  # n_est rows
+
+    def task_rows(k, mean, std):  # the n_est rows of task k
+        truths = [sc.n_dirty] * (n_est - 2) + mean[n_est:]
+        return zip([k] * n_est, ESTIMATE_COLUMNS, *(map(fmt, col) for col in (mean, std, truths)))
+
+    rows = map(task_rows, count(), averaged.mean.tolist(), averaged.std.tolist())
+    _write_rows(out, chain([SUMMARY_HEADER], chain.from_iterable(rows)))
 
 
 def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
     """Score the candidate-pair universe and write it with stratum labels."""
     stratum = stratum_rule(alpha, beta)
     table = read_records_csv(records_csv)
-    with _open_out(out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PAIRS_HEADER)
-        for pair in iter_scored_pairs(table):
-            writer.writerow(
-                [pair.left_id, pair.right_id, fmt(pair.similarity), stratum(pair.similarity)]
-            )
+    rows = ((pair.left_id, pair.right_id, fmt(pair.similarity), stratum(pair.similarity))
+            for pair in iter_scored_pairs(table))
+    _write_rows(out, chain([PAIRS_HEADER], rows))
 
 
 def _int_at_least(text: str, low: int) -> int:

@@ -9,8 +9,10 @@ dirty exactly once, exactly twice, ...).
 
 import csv
 import io
-import warnings
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -280,17 +282,22 @@ def _plain_columns(text: str):
     # Each row's four cells lie between its five edges: the line's ends and its commas.
     edges = np.column_stack((starts[full] - 1, commas.reshape(-1, 3), ends[full]))[1:]
     widths = np.maximum(np.diff(edges).max(axis=0) - 1, 1).tolist()  # per column
-    if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw):
-        return None
-    del raw, byte, breaks, commas, starts, ends, full, edges  # freed before the parse peaks
+    if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw) or widths[2] > 18:
+        return None  # too wide, or an item_id over 18 digits, maybe past int64
+    inside = np.zeros(len(raw), bool)  # toggled at each item cell's first byte and its end
+    inside[edges[:, 2] + 1] ^= True
+    inside[edges[:, 3]] ^= True  # an empty cell toggles its one byte back
+    del breaks, commas, starts, ends, full, edges  # freed before the parse peaks
+    items = byte[np.logical_xor.accumulate(inside, out=inside)]
+    if ((items < 48) | (items > 57)).any():
+        return None  # an item_id not all ASCII digits, which loadtxt may read via a float
+    del raw, byte, inside, items
     kinds = [("task", f"S{widths[0]}"), ("worker", f"S{widths[1]}"), ("item", "i8"),
              ("label", f"S{widths[3]}")]
-    try:  # a ragged row, or an item_id that is no int64 (an older numpy reads "1.9" as 1, warning)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=kinds, skiprows=1,
-                               comments=None, quotechar=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
+    try:
+        votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=kinds, skiprows=1,
+                           comments=None, quotechar=None, ndmin=1)
+    except ValueError:  # a ragged row, or an empty item_id
         return None
     dirty = votes["label"] == b"1"
     if not (dirty | (votes["label"] == b"0")).all():
@@ -345,13 +352,19 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
         raise MalformedInputError(str(exc), _vote_rows(text)[4][exc.position]) from None
 
 
+def _write_rows(path, rows: Iterable) -> None:
+    """Write CSV rows as UTF-8 with LF line ends to path, or to sys.stdout (left open) for "-"."""
+    out = nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8")
+    with out as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_votes_csv(log: VoteLog, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VOTES_CSV_HEADER)
-        tasks = map(log.task_names.__getitem__, log.task_codes.tolist())
-        workers = map(log.worker_names.__getitem__, log.worker_codes.tolist())
-        writer.writerows(zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist()))
+    """Write the log as a plain votes CSV to path, or to stdout for "-"."""
+    tasks = map(log.task_names.__getitem__, log.task_codes.tolist())
+    workers = map(log.worker_names.__getitem__, log.worker_codes.tolist())
+    votes = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
+    _write_rows(path, chain([VOTES_CSV_HEADER], votes))
 
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:
@@ -380,6 +393,5 @@ def read_truth_csv(path, item_count: int) -> frozenset[int]:
 
 
 def write_truth_csv(dirty: Iterable[int], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in sorted(dirty):
-            fh.write(f"{item}\n")
+    """Write the item ids, sorted, one a line to path, or to stdout for "-"."""
+    _write_rows(path, ([item] for item in sorted(dirty)))

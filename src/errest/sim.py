@@ -10,7 +10,6 @@ to smooth trajectory comparisons.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
@@ -221,10 +220,11 @@ def permute_and_average(
             raise ValueError("estimator must produce one value per task")
         runs.append(values)
     per_run = np.stack(runs)
-    with warnings.catch_warnings():
-        # All-NaN columns (no run produced a value) stay NaN without a warning.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean, std = np.nanmean(per_run, axis=0), np.nanstd(per_run, axis=0)
+    # nanmean and nanstd warn on a whole-NaN column, so it is filled, then set back to NaN.
+    empty = np.isnan(per_run).all(axis=0)
+    filled = np.where(empty, 0.0, per_run)
+    mean, std = np.nanmean(filled, axis=0), np.nanstd(filled, axis=0)
+    mean[empty], std[empty] = np.nan, np.nan
     return PermutedTrajectory(mean=mean, std=std, per_run=per_run)
 
 

@@ -143,6 +143,13 @@ def permute_tasks_oracle(log, order):
                             log.item_count)
 
 
+def nan_aggregate_oracle(per_run):
+    """Mean and std over runs ignoring NaN, with the all-NaN column warning silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmean(per_run, axis=0), np.nanstd(per_run, axis=0)
+
+
 def draw_task_oracle(p, policy, size):
     """draw_task through the Generator's scalar calls: one random() per slot, then
     integers(len(stratum)) until an item not yet in the task comes up."""

@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 import re
+import sys
 import tempfile
 import warnings
 
@@ -84,6 +85,15 @@ class TestEstimate:
         )
         assert code == 0
         assert out.read_bytes() == (DATA / "fixture_golden.csv").read_bytes()
+
+    def test_stdout_out_equals_file_out(self, tmp_path, capsys):
+        argv = ["estimate", str(DATA / "fixture_votes.csv"), "--n-items", "3"]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert not sys.stdout.closed
 
     def test_empty_votes_file(self, tmp_path):
         votes = tmp_path / "votes.csv"
@@ -331,6 +341,31 @@ class TestSimulate:
         assert code == 0
         assert out.read_bytes() == (DATA / f"fixture_summary_p{permutations}.csv").read_bytes()
 
+    def test_golden_truth_out(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        code = main(["simulate", str(DATA / "fixture_scenario.json"),
+                     "--out", str(tmp_path / "out.csv"), "--truth-out", str(truth)])
+        assert code == 0
+        assert truth.read_bytes() == (DATA / "fixture_sim_truth.csv").read_bytes()
+
+    def test_votes_out_stdout(self, tmp_path, capsys):
+        argv = ["simulate", str(DATA / "fixture_scenario.json"), "--votes-out"]
+        votes = tmp_path / "votes.csv"
+        assert main([*argv, str(votes), "--out", str(tmp_path / "a.csv")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "-", "--out", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().out.encode() == votes.read_bytes()
+
+    @pytest.mark.parametrize("extra", [["--votes-out", "-"], ["--truth-out", "-"],
+                                       ["--out", "x.csv", "--votes-out", "-", "--truth-out", "-"]])
+    def test_stdout_named_twice_exit_2(self, tmp_path, monkeypatch, capsys, extra):
+        # two tables on one stream could not be parsed apart
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(DATA / "fixture_scenario.json"), *extra]) == 2
+        assert capsys.readouterr() == ("", "errest: only one of --out, --votes-out and "
+                                           "--truth-out may be - (stdout)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_golden_votes_through_stratum_fallback(self, tmp_path):
         # epsilon 0 and an error-free heuristic put the 2 dirty items alone in the
         # ambiguous band, so every task of 3 exhausts it and falls back once
@@ -462,6 +497,11 @@ class TestPairs:
         assert ambiguous == {("r0", "r1"), ("r2", "r3")}
         keys = [(r["left_id"], r["right_id"]) for r in rows]
         assert keys == sorted(keys)
+
+    def test_golden_pairs_stdout(self, capsys):
+        argv = ["pairs", str(DATA / "fixture_records.csv"), "--alpha", "0.5", "--beta", "0.9"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "fixture_pairs.csv").read_bytes()
 
     def test_duplicate_record_id_exit_2(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

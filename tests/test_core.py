@@ -387,6 +387,18 @@ class TestCsv:
         with pytest.raises(MalformedInputError, match=re.escape(f"line 2: item_id '{item}' is")):
             read_votes_csv(path, item_count=4)
 
+    @pytest.mark.parametrize("rows", ["t0,w0,1.9,1", "t0,w0,1e0,1", "t0,w0,+1,1",
+                                      "t0,w0,,1\nt0,w1,1.9,1",  # an empty cell first
+                                      f"t0,w0,{2**63},1", f"t0,w0,{10**19},1"])
+    def test_item_loadtxt_may_misread_never_reaches_loadtxt(self, monkeypatch, rows):
+        # the separators show the cell is no digit run short enough for int64, so no
+        # numpy version decides it (an older one reads "1.9" or 2**63 through a float)
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("an item_id loadtxt may misread reached np.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert core._plain_columns(f"task_id,worker_id,item_id,label\n{rows}\n") is None
+
     @settings(max_examples=400, deadline=None)
     @given(truth_texts())
     @example("1\x0c2\n0_2\r3\r\n\u0661\n")

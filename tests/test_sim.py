@@ -1,11 +1,12 @@
 import json
+import math
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from errest.core import fstats_from_tally, tally
+from errest.core import VoteLog, fstats_from_tally, tally
 from errest.estimators import chao92, majority, nominal
 from errest.sim import (
     GroundTruth,
@@ -22,6 +23,7 @@ from errest.trajectory import evaluate_trajectory
 from helpers import (
     dirty_mask,
     log_votes,
+    nan_aggregate_oracle,
     permute_tasks_oracle,
     pooled_vote_logs,
     vote_ids,
@@ -197,6 +199,27 @@ class TestPermuteAndAverage:
 
         out = permute_and_average(log, 5, switch_traj, seed=9)
         assert np.isfinite(out.std).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mean_and_std_equal_silenced_nan_aggregation(self, data):
+        # filled whole-NaN columns give the same bits as nanmean and nanstd under a
+        # silenced warning, and no warning
+        r, n_tasks = data.draw(st.integers(1, 10)), data.draw(st.integers(0, 6))
+        shape = (r, n_tasks, *data.draw(st.sampled_from([(), (1,), (3,)])))
+        size = math.prod(shape)
+        cells = st.one_of(st.floats(-1e9, 1e9), st.just(math.nan))
+        per_run = np.array(data.draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+        empty = data.draw(st.lists(st.booleans(), min_size=n_tasks, max_size=n_tasks))
+        per_run[:, np.array(empty, dtype=bool)] = np.nan
+        ids = [f"t{k}" for k in range(n_tasks)]
+        log = VoteLog.from_ids([0] * n_tasks, [True] * n_tasks, ids, ids, item_count=1)
+        runs = iter(per_run)
+        out = permute_and_average(log, r, lambda permuted: next(runs), seed=0)
+        for got, want in zip((out.mean, out.std), nan_aggregate_oracle(per_run)):
+            nan = np.isnan(want)
+            assert got.shape == want.shape and (np.isnan(got) == nan).all()
+            assert got[~nan].tobytes() == want[~nan].tobytes()  # -0.0 differs from 0.0
 
     def test_permutation_preserves_task_blocks(self):
         log, _ = simulate(small_scenario(n_tasks=6))
