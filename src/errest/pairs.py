@@ -7,6 +7,7 @@ that can become the item universe for a cleaning pass.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import MalformedInputError, _csv_cells, _read_text
@@ -136,12 +137,6 @@ def similarity(a: Sequence[str], b: Sequence[str]) -> float:
 
 def iter_scored_pairs(t: RecordTable) -> Iterator[CandidatePair]:
     """Stream scored candidate pairs in canonical (left_id, right_id) order."""
-    order = sorted(range(len(t)), key=lambda i: t.ids[i])
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            i, j = order[a], order[b]
-            yield CandidatePair(
-                left_id=t.ids[i],
-                right_id=t.ids[j],
-                similarity=similarity(t.fields[i], t.fields[j]),
-            )
+    # Ids are unique, so the sort never compares fields.
+    for (left, a), (right, b) in combinations(sorted(zip(t.ids, t.fields)), 2):
+        yield CandidatePair(left, right, similarity(a, b))

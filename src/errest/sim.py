@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import TallyState, VoteLog, _read_text
-from .priority import EpsilonPolicy, HeuristicPartition, draw_task, partition
+from .priority import DEFAULT_EPSILON, EpsilonPolicy, HeuristicPartition, draw_task, partition
 
 __all__ = [
     "SimScenario",
@@ -54,7 +54,7 @@ class SimScenario:
     n_tasks: int
     fp_rate: float = 0.0
     fn_rate: float = 0.0
-    epsilon: float = 0.1
+    epsilon: float = DEFAULT_EPSILON
     heuristic_error: float = 0.0
     permutations: int = 10
     seed: int = 0

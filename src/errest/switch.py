@@ -19,7 +19,7 @@ the number of consensus flips still expected.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,7 @@ class Direction(Enum):
     NEGATIVE = "negative"
 
 
-class Trend(Enum):
+class Trend(IntEnum):
     """Recent movement of the strict-majority count, valued as the sign of the change."""
 
     INCREASING = 1
@@ -77,10 +77,14 @@ class SwitchStats:
     """
 
     events: tuple[SwitchEvent, ...]
-    c_switch: int
     f_pos: dict[int, int]
     f_neg: dict[int, int]
     n_switch: int
+
+    @property
+    def c_switch(self) -> int:
+        """Number of switch events."""
+        return len(self.events)
 
     @property
     def f_prime(self) -> dict[int, int]:
@@ -91,17 +95,7 @@ class SwitchStats:
         return freq
 
 
-def _bump(freq: dict[int, int], old: int) -> None:
-    """Move one class of a fingerprint from multiplicity old to old + 1.
-
-    old = 0 adds a new class; entries that reach zero are dropped.
-    """
-    if old:
-        if freq[old] == 1:
-            del freq[old]
-        else:
-            freq[old] -= 1
-    freq[old + 1] = freq.get(old + 1, 0) + 1
+_DIRECTIONS = (Direction.NEGATIVE, Direction.POSITIVE)  # by parity: the item's flips mod 2
 
 
 class SwitchReplay:
@@ -111,15 +105,16 @@ class SwitchReplay:
     running dirty/clean counts after it (vote_pos, vote_neg, in arrival
     order) and, unless it is a no-op, the index of the event it flips or
     confirms (events are numbered as their flips arrive), that event's
-    direction (the parity of the item's flip count) and its multiplicity
-    before the vote. advance only writes the events and bumps the one-sided
-    fingerprints, so a snapshot only copies state.
+    parity (the item's flip count mod 2, which is 1 for a positive event) and
+    its multiplicity before the vote. advance only writes the events and moves
+    one class of a one-sided fingerprint, so a snapshot only copies state.
     """
 
     def __init__(self, log: VoteLog):
         self._events: list[SwitchEvent] = []
-        self._f: dict[Direction, dict[int, int]] = {d: {} for d in Direction}
-        self._n_switch = self._done = 0
+        # (negative, positive) fingerprints, indexed by parity; they may hold zero counts.
+        self._f: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self._folded = self._done = 0  # the active votes folded in, and the votes replayed
         self._size = len(log)
         # Running sums per item: cumsums over votes grouped by a stable sort.
         order = np.argsort(log.item_ids, kind="stable")
@@ -146,7 +141,7 @@ class SwitchReplay:
         self._active = list(zip(
             log.item_ids[at].tolist(),
             number[latest[grouped]].tolist(),
-            np.where(flips[grouped] % 2, Direction.POSITIVE, Direction.NEGATIVE).tolist(),
+            (flips[grouped] % 2).tolist(),
             (here - latest)[grouped].tolist(),  # the event's multiplicity before the vote
         ))
 
@@ -156,22 +151,19 @@ class SwitchReplay:
             raise MalformedInputError(f"prefix end {end} outside [0, {self._size}]")
         if end < self._done:
             raise ValueError(f"prefix end {end} is before the {self._done} votes replayed")
-        first, last = bisect_left(self._at, self._done), bisect_left(self._at, end)
-        for item_id, k, direction, old in self._active[first:last]:
+        last = bisect_left(self._at, end)
+        for item_id, k, parity, old in self._active[self._folded:last]:
             # At a flip k == len(self._events), where the one-slot write appends.
-            self._events[k:k + 1] = [SwitchEvent(item_id, direction, old + 1)]
-            _bump(self._f[direction], old)
-        self._n_switch += last - first
-        self._done = end
+            self._events[k:k + 1] = [SwitchEvent(item_id, _DIRECTIONS[parity], old + 1)]
+            freq = self._f[parity]
+            if old:
+                freq[old] -= 1
+            freq[old + 1] = freq.get(old + 1, 0) + 1
+        self._folded, self._done = last, end
 
     def snapshot(self) -> SwitchStats:
-        return SwitchStats(
-            events=tuple(self._events),
-            c_switch=len(self._events),
-            f_pos=dict(self._f[Direction.POSITIVE]),
-            f_neg=dict(self._f[Direction.NEGATIVE]),
-            n_switch=self._n_switch,
-        )
+        f_neg, f_pos = ({j: fj for j, fj in freq.items() if fj} for freq in self._f)
+        return SwitchStats(tuple(self._events), f_pos, f_neg, n_switch=self._folded)
 
     def prefix_moments(self, ends) -> tuple[Moments, Moments]:
         """Advance to each prefix end in turn: the snapshots' positive and negative switch
@@ -224,7 +216,7 @@ def switch_total_errors(m, xi_pos, xi_neg, trend: Trend | np.ndarray, universe: 
     applies both. The result is clamped to [0, universe]. On columns,
     trend holds the Trend values and the result is a column.
     """
-    sign = np.asarray(trend.value if isinstance(trend, Trend) else trend)
+    sign = np.asarray(trend)
     value = np.where(sign > 0, m + xi_pos, np.where(sign < 0, m - xi_neg, m + xi_pos - xi_neg))
     total = np.minimum(np.maximum(value, 0.0), float(universe))
     return total if total.ndim else float(total)

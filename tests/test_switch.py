@@ -90,6 +90,26 @@ class TestReplayExamples:
         assert replay.snapshot().c_switch == 2
 
 
+    def test_snapshot_fingerprints_are_copies(self):
+        # [D, C, D, D]: a positive flip, a negative flip at the tie, then two confirming
+        # votes, so the negative class passes through multiplicities 1 and 2
+        log = single_item_log([D, C, D, D])
+        replay = SwitchReplay(log)
+        replay.advance(len(log))
+        stats = replay.snapshot()
+        assert (stats.f_pos, stats.f_neg) == ({1: 1}, {3: 1})  # no zero-count classes
+        stats.f_pos[1] += 5
+        stats.f_neg.clear()
+        again = replay.snapshot()
+        assert (again.f_pos, again.f_neg) == ({1: 1}, {3: 1})
+
+    def test_c_switch_is_event_count(self):
+        events = (SwitchEvent(0, Direction.POSITIVE, 2), SwitchEvent(0, Direction.NEGATIVE, 1),
+                  SwitchEvent(1, Direction.POSITIVE, 1))
+        stats = SwitchStats(events, {1: 1, 2: 1}, {1: 1}, 4)
+        assert stats.c_switch == len(events) == 3
+
+
 class TestSwitchCount:
     def test_empty(self):
         assert replay_switches(make_log([], item_count=2)).c_switch == 0
@@ -298,7 +318,6 @@ def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
         freq[e.multiplicity] = freq.get(e.multiplicity, 0) + 1
     return SwitchStats(
         events=tuple(events),
-        c_switch=len(events),
         f_pos=freqs[Direction.POSITIVE],
         f_neg=freqs[Direction.NEGATIVE],
         n_switch=n_switch,
