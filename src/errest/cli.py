@@ -6,6 +6,7 @@ errors, 3 for internal invariant violations.
 
 import argparse
 import math
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -88,6 +89,9 @@ def run_simulate(
     """
     if [out, votes_out, truth_out].count("-") > 1:
         raise ValueError("only one of --out, --votes-out and --truth-out may be - (stdout)")
+    files = [os.path.realpath(p) for p in (out, votes_out, truth_out) if p not in (None, "-")]
+    if len(set(files)) < len(files):
+        raise ValueError("--out, --votes-out and --truth-out must name different files")
     sc = load_scenario(scenario_json)
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:

@@ -380,7 +380,7 @@ def read_truth_csv(path, item_count: int) -> frozenset[int]:
                 return items
         except ValueError:
             pass
-    items = set()
+    # The check above failed, so some line fails one of these: the walk names the first.
     for line_no, raw in enumerate(lines, 1):
         text = raw.strip()
         if text:
@@ -388,8 +388,6 @@ def read_truth_csv(path, item_count: int) -> frozenset[int]:
             if not 0 <= item_id < item_count:
                 message = f"truth item {item_id} outside universe [0, {item_count})"
                 raise MalformedInputError(message, line_no)
-            items.add(item_id)
-    return frozenset(items)
 
 
 def write_truth_csv(dirty: Iterable[int], path) -> None:

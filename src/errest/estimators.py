@@ -9,7 +9,6 @@ variation.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,6 @@ from .core import FStatistics, TallyState
 
 __all__ = [
     "EstimatorOutput",
-    "Estimates",
     "InsufficientDataError",
     "LOW_COVERAGE",
     "Moments",
@@ -39,20 +37,23 @@ class InsufficientDataError(ValueError):
     """The requested estimate is undefined on the available statistics."""
 
 
-@dataclass(frozen=True)
-class EstimatorOutput:
+class EstimatorOutput(NamedTuple):
     """A total-error estimate with its coverage and skew diagnostics.
 
     remaining_hat is the estimate minus the estimator's own notion of
-    the currently identified count, clamped at zero. flags carries
-    degenerate-input markers such as LOW_COVERAGE.
+    the currently identified count, clamped at zero. The fields are
+    floats for one sample (an FStatistics) and columns for Moments.
     """
 
-    total_errors_hat: float
-    remaining_hat: float
-    coverage_hat: float
-    cv2_hat: float
-    flags: tuple[str, ...] = ()
+    total_errors_hat: float | np.ndarray
+    remaining_hat: float | np.ndarray
+    coverage_hat: float | np.ndarray
+    cv2_hat: float | np.ndarray
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Degenerate-input markers of one sample: LOW_COVERAGE at zero coverage."""
+        return (LOW_COVERAGE,) if self.coverage_hat == 0.0 else ()
 
 
 def nominal(t: TallyState) -> int:
@@ -91,19 +92,6 @@ class Moments(NamedTuple):
     ssum: np.ndarray
 
 
-class Estimates(NamedTuple):
-    """Columns of coverage-form estimates; zero coverage marks the LOW_COVERAGE rows."""
-
-    total: np.ndarray
-    remaining: np.ndarray
-    coverage: np.ndarray
-    cv2: np.ndarray
-
-    def output(self) -> EstimatorOutput:  # the one-row case
-        flags = (LOW_COVERAGE,) if self.coverage == 0.0 else ()
-        return EstimatorOutput(*map(float, self), flags=flags)
-
-
 def coverage(f: FStatistics | Moments) -> float | np.ndarray:
     """Good-Turing sample-coverage estimate 1 - f1/n, clamped to [0, 1].
 
@@ -128,7 +116,7 @@ def cv2(f: FStatistics | Moments, d_noskew) -> float | np.ndarray:
     return gamma2 if gamma2.ndim else float(gamma2)
 
 
-def _chao_form(c, f, skew, universe: int | None) -> Estimates:
+def _chao_form(c, f, skew, universe: int | None) -> EstimatorOutput:
     """Coverage-adjusted species estimate c/C + f1*cv2/C with C = coverage(f).
 
     f supplies the columns f1 and n, skew all four moments. The
@@ -146,7 +134,7 @@ def _chao_form(c, f, skew, universe: int | None) -> Estimates:
     low = cover == 0.0
     total = np.where(low, math.inf if universe is None else float(universe), total)
     gamma2 = np.where(low, 0.0, gamma2)
-    return Estimates(total, np.maximum(total - c, 0.0), cover, gamma2)
+    return EstimatorOutput(total, np.maximum(total - c, 0.0), cover, gamma2)
 
 
 def vchao92_columns(f: Moments, c_majority, f_next, n_low, universe: int | None = None):
@@ -160,15 +148,15 @@ def vchao92_columns(f: Moments, c_majority, f_next, n_low, universe: int | None 
     return est, np.asarray(n_shifted) <= 0
 
 
-def chao92(f: FStatistics | Moments, universe: int | None = None) -> EstimatorOutput | Estimates:
+def chao92(f: FStatistics | Moments, universe: int | None = None) -> EstimatorOutput:
     """Coverage-based total-error estimate over discovery statistics.
 
     Uses the nominal distinct count carried by the fingerprint; pass
     the item universe size to enable the zero-coverage cap. An
-    FStatistics gives its EstimatorOutput, Moments columns their Estimates.
+    FStatistics gives floats, Moments columns.
     """
     est = _chao_form(f.c, f, f, universe)
-    return est if isinstance(f, Moments) else est.output()
+    return est if isinstance(f, Moments) else EstimatorOutput(*map(float, est))
 
 
 def vchao92(
@@ -192,4 +180,4 @@ def vchao92(
     est, insufficient = vchao92_columns(f, c_majority, f.f(shift + 1), n_low, universe)
     if insufficient:
         raise InsufficientDataError(f"shift {shift} leaves no effective sample (n={f.n})")
-    return est.output()
+    return EstimatorOutput(*map(float, est))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import FStatistics, MalformedInputError, VoteLog
-from .estimators import EstimatorOutput, Estimates, InsufficientDataError, Moments, chao92
+from .estimators import EstimatorOutput, InsufficientDataError, Moments, chao92
 
 __all__ = [
     "Direction",
@@ -200,7 +200,7 @@ def switch_fstats(stats: SwitchStats, direction: Direction | None = None) -> FSt
     return FStatistics(freq=freq, n=stats.n_switch)
 
 
-def d_switch(f: FStatistics | Moments, universe: int | None = None) -> EstimatorOutput | Estimates:
+def d_switch(f: FStatistics | Moments, universe: int | None = None) -> EstimatorOutput:
     """Total-switch estimate: the coverage form applied to switch statistics, like chao92."""
     if np.any((f.n == 0) & (f.c > 0)):
         raise InsufficientDataError("switch fingerprint has events but no sample")

@@ -117,22 +117,22 @@ def evaluate_trajectory(
     switch_moments = replay.prefix_moments(end for _, _, end in log.tasks)
     xi_pos, xi_neg = (d_switch(moments, n) for moments in switch_moments)
     lag = np.concatenate([np.zeros(trend_window, m.dtype), m])[:n_tasks]  # 0 before the log
-    total = switch_total_errors(m, xi_pos.remaining, xi_neg.remaining, np.sign(m - lag), n)
+    total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, np.sign(m - lag), n)
 
     def marks(column, est):
-        return np.where(est.coverage == 0.0, f"{column}:{LOW_COVERAGE}", "").tolist()
+        return np.where(est.coverage_hat == 0.0, f"{column}:{LOW_COVERAGE}", "").tolist()
 
     vchao_marks = np.where(insufficient, "vchao92_total:insufficient-data",
                            marks("vchao92_total", vchao)).tolist()
     flags = [tuple(filter(None, row)) for row in zip(
         marks("chao92_total", chao), vchao_marks, marks("xi_pos", xi_pos), marks("xi_neg", xi_neg))]
-    vchao_total = np.where(insufficient, None, vchao.total).tolist()
+    vchao_total = np.where(insufficient, None, vchao.total_errors_hat).tolist()
     truth_columns = [[None] * n_tasks for _ in range(3)]
     if truth is not None:
         dirty_count = len(truth.dirty_set)
         truth_columns = [[dirty_count] * n_tasks, (dirty_count - totals[7]).tolist(),
                          totals[8].tolist()]
-    return Trajectory(list(range(n_tasks)), c.tolist(), m.tolist(), chao.total.tolist(),
-                      vchao_total, total.tolist(), xi_pos.remaining.tolist(),
-                      xi_neg.remaining.tolist(), chao.coverage.tolist(), truth_columns[0], flags,
-                      *truth_columns[1:])
+    return Trajectory(list(range(n_tasks)), c.tolist(), m.tolist(),
+                      chao.total_errors_hat.tolist(), vchao_total, total.tolist(),
+                      xi_pos.remaining_hat.tolist(), xi_neg.remaining_hat.tolist(),
+                      chao.coverage_hat.tolist(), truth_columns[0], flags, *truth_columns[1:])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from errest.core import FStatistics, MalformedInputError, VoteLog, error_fstats, tally
-from errest.estimators import LOW_COVERAGE, EstimatorOutput, InsufficientDataError
+from errest.estimators import EstimatorOutput, InsufficientDataError
 from errest.estimators import chao92, majority, nominal, vchao92
 from errest.pairs import RecordTable
 from errest.switch import Direction, Trend, d_switch, replay_switches, switch_fstats
@@ -566,7 +566,7 @@ def chao_form_oracle(c, f, skew, universe):
     cover = coverage(f)
     if cover == 0.0:
         total = float(universe) if universe is not None else math.inf
-        return EstimatorOutput(total, max(total - c, 0.0), 0.0, 0.0, flags=(LOW_COVERAGE,))
+        return EstimatorOutput(total, max(total - c, 0.0), 0.0, 0.0)
     skew_cover = coverage(skew)
     gamma2 = 0.0
     if skew_cover > 0 and skew.n >= 2:

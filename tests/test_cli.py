@@ -366,6 +366,16 @@ class TestSimulate:
                                            "--truth-out may be - (stdout)\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("extra", [["--out", "same.csv", "--votes-out", "./same.csv"],
+                                       ["--votes-out", "x", "--truth-out", "./x"]])
+    def test_file_named_twice_exit_2(self, tmp_path, monkeypatch, capsys, extra):
+        # the later table would silently overwrite the earlier one
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(DATA / "fixture_scenario.json"), *extra]) == 2
+        assert capsys.readouterr() == ("", "errest: --out, --votes-out and --truth-out "
+                                           "must name different files\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_golden_votes_through_stratum_fallback(self, tmp_path):
         # epsilon 0 and an error-free heuristic put the 2 dirty items alone in the
         # ambiguous band, so every task of 3 exhausts it and falls back once

@@ -7,7 +7,7 @@ import pytest
 from errest.core import FStatistics, TallyState
 from errest.estimators import (
     LOW_COVERAGE,
-    Estimates,
+    EstimatorOutput,
     InsufficientDataError,
     Moments,
     chao92,
@@ -19,6 +19,7 @@ from errest.estimators import (
     vchao92,
     vchao92_columns,
 )
+from errest.switch import d_switch
 
 
 from helpers import chao_form_oracle, vchao92_oracle
@@ -255,13 +256,12 @@ class TestColumns:
     def column(values):
         return np.array(values, dtype=np.int64)
 
-    def moments(self):
-        fs = self.FINGERPRINTS
+    def moments(self, fs=FINGERPRINTS):
         return Moments(*(self.column([getattr(f, k) for f in fs]) for k in Moments._fields))
 
     @staticmethod
     def row(est, k):
-        return Estimates(*(x[k] for x in est)).output()
+        return EstimatorOutput(*(float(x[k]) for x in est))
 
     def test_coverage_and_cv2(self):
         m = self.moments()
@@ -272,7 +272,7 @@ class TestColumns:
     @pytest.mark.parametrize("universe", [None, 50])
     def test_chao92(self, universe):
         est = chao92(self.moments(), universe)
-        assert (est.coverage == 0).any() and (est.coverage > 0).any()
+        assert (est.coverage_hat == 0).any() and (est.coverage_hat > 0).any()
         for k, f in enumerate(self.FINGERPRINTS):
             assert self.row(est, k) == chao92(f, universe=universe)
 
@@ -291,6 +291,18 @@ class TestColumns:
                     vchao92(f, int(c_majority[k]), shift=shift, universe=universe)
             else:
                 assert self.row(est, k) == vchao92(f, int(c_majority[k]), shift, universe)
+
+    def test_one_output_type(self):
+        covered, singletons = FStatistics({1: 30, 2: 9, 3: 44}, 180), FStatistics({1: 4}, 4)
+        m = self.moments([covered, singletons])
+        columns = [chao92(m, 50), d_switch(m, 50),
+                   vchao92_columns(m, m.c, m.f1, self.column([0, 0]), 50)[0]]
+        assert all(type(est) is EstimatorOutput for est in columns)
+        for f, flags in ((covered, ()), (singletons, (LOW_COVERAGE,))):
+            for out in (chao92(f, 50), d_switch(f, 50), vchao92(f, f.c, shift=0, universe=50)):
+                assert type(out) is EstimatorOutput
+                assert all(type(x) is float for x in out)  # no 0-d array leaks out
+                assert out.flags == flags
 
     @settings(max_examples=300, deadline=None)
     @given(
