@@ -10,7 +10,7 @@ import os
 import sys
 import traceback
 from dataclasses import replace
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
@@ -53,6 +53,11 @@ def fmt(value) -> str:
             return ""
         return f"{value:.9g}"
     return str(value)
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """`fmt` of each value of a float array, in row-major order."""
+    return ["" if v != v else f"{v:.9g}" for v in values.ravel().tolist()]  # v != v: NaN
 
 
 def run_estimate(
@@ -113,12 +118,13 @@ def run_simulate(
 
     averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)
 
-    def task_rows(k, mean, std):  # the n_est rows of task k
-        truths = [sc.n_dirty] * (n_est - 2) + mean[n_est:]
-        return zip([k] * n_est, ESTIMATE_COLUMNS, *(map(fmt, col) for col in (mean, std, truths)))
-
-    rows = map(task_rows, count(), averaged.mean.tolist(), averaged.std.tolist())
-    _write_rows(out, chain([SUMMARY_HEADER], chain.from_iterable(rows)))
+    # One row per (task, estimator), in row-major order of the (tasks, n_est) matrices.
+    n_tasks, mean, std = len(averaged.mean), averaged.mean[:, :n_est], averaged.std[:, :n_est]
+    truths = np.full((n_tasks, n_est), fmt(sc.n_dirty), dtype=object)
+    truths[:, -2:] = np.reshape(_fmt_column(averaged.mean[:, n_est:]), (-1, 2))
+    rows = zip(np.repeat(np.arange(n_tasks), n_est).tolist(), ESTIMATE_COLUMNS * n_tasks,
+               _fmt_column(mean), _fmt_column(std), truths.ravel().tolist())
+    _write_rows(out, chain([SUMMARY_HEADER], rows))
 
 
 def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:

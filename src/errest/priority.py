@@ -7,6 +7,7 @@ epsilon-randomized escape hatch into the rest of the universe so that
 heuristic mistakes can still surface.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,6 +21,7 @@ __all__ = [
     "stratum_rule",
     "partition",
     "draw_task",
+    "draw_tasks",
     "total_with_perfect_heuristic",
 ]
 
@@ -69,19 +71,17 @@ def stratum_rule(alpha: float, beta: float) -> Callable[[float], str]:
 
 def partition(scores: Sequence[float], alpha: float, beta: float) -> HeuristicPartition:
     """Split items by score into auto-clean / ambiguous / auto-dirty."""
-    rule = stratum_rule(alpha, beta)
+    stratum_rule(alpha, beta)  # checks the band; the masks below place scores by its rule
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1:
         raise ValueError("scores must be one-dimensional")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("scores must lie in [0, 1]")
-    strata: dict[str, list[int]] = {"ambiguous": [], "auto_dirty": [], "auto_clean": []}
-    for item, score in enumerate(arr.tolist()):
-        strata[rule(score)].append(item)
+    dirty, clean = arr > beta, arr < alpha
     return HeuristicPartition(
-        ambiguous=tuple(strata["ambiguous"]),
-        auto_dirty=tuple(strata["auto_dirty"]),
-        auto_clean=tuple(strata["auto_clean"]),
+        ambiguous=tuple(np.flatnonzero(~(dirty | clean)).tolist()),
+        auto_dirty=tuple(np.flatnonzero(dirty).tolist()),
+        auto_clean=tuple(np.flatnonzero(clean).tolist()),
     )
 
 
@@ -102,79 +102,85 @@ class EpsilonPolicy:
         self.rng = np.random.default_rng(self.seed)
 
 
-def draw_task(
-    p: HeuristicPartition, policy: EpsilonPolicy, size: int
-) -> tuple[int, ...]:
-    """Fill one task of `size` distinct items under the epsilon policy.
+def draw_tasks(p: HeuristicPartition, policy: EpsilonPolicy, size: int, n_tasks: int) -> np.ndarray:
+    """Fill `n_tasks` tasks of `size` distinct items under the epsilon policy, one per row.
 
-    Each slot independently targets the ambiguous band with probability
-    1 - epsilon (the complement otherwise), then draws uniformly among
-    that stratum's items not already in the task. A stratum that is
-    empty or exhausted falls back to the other one with a warning.
-
-    The PCG64 words of `policy.rng` are decoded here exactly as the
-    scalar `rng.random()` and `rng.integers(len(stratum))` calls per slot
-    would consume them, so picks and generator state match those calls;
-    any other bit generator raises TypeError.
+    Each slot targets the ambiguous band with probability 1 - epsilon, else the complement,
+    then draws uniformly among that stratum's items not yet in its task; an empty or
+    exhausted stratum falls back to the other, with one warning per task. The PCG64 words
+    of `policy.rng` are decoded as scalar `random()` and `integers(len(stratum))` calls per
+    slot would consume them, so picks and generator state match those calls; any other bit
+    generator raises TypeError. The state is read and written once; words come in blocks.
     """
+    return _draw_tasks(p, policy, size, n_tasks)
+
+
+def draw_task(p: HeuristicPartition, policy: EpsilonPolicy, size: int) -> tuple[int, ...]:
+    """Fill one task of `size` distinct items: `draw_tasks` for one task."""
+    return tuple(_draw_tasks(p, policy, size, 1)[0].tolist())
+
+
+def _draw_tasks(p, policy, size, n_tasks):
+    """draw_tasks; both public forms call it, so a warning names their caller's line."""
     if size < 0 or size > p.universe_size:
         raise ValueError(f"task size {size} outside [0, {p.universe_size}]")
     bg = policy.rng.bit_generator
     if not isinstance(bg, np.random.PCG64):
-        raise TypeError(f"draw_task decodes PCG64 words, not {type(bg).__name__}")
+        raise TypeError(f"draw_tasks decodes PCG64 words, not {type(bg).__name__}")
     start = bg.state
     has_spare, spare = start["has_uint32"], start["uinteger"]  # the buffered 32-bit half
-    words, used = [], 0
-    ambiguous_below = (1.0 - policy.epsilon) * 2**53  # random() is (word >> 11) * 2**-53
-    strata = (p.complement, p.ambiguous)  # indexed by "wants the ambiguous band"
-    taken = [0, 0]  # draws taken per stratum
-    chosen: set[int] = set()
-    warned = False
+    block = min(2 * size * n_tasks, max(2 * size, 4096))  # words fetched at a time
+    words, at, done = bg.random_raw(block).tolist(), 0, 0  # at: next word; done: earlier blocks
+    # random() is (word >> 11) * 2**-53, below 1 - epsilon exactly when the word is below this.
+    ambiguous_below = math.ceil((1.0 - policy.epsilon) * 2**53) << 11
+    # Indexed by "wants the ambiguous band": items, count, and Lemire's rejection bound.
+    strata = [(s, len(s), (2**32 - len(s)) % len(s) if s else 0)
+              for s in (p.complement, p.ambiguous)]
     picks = []
-    for _ in range(size):
-        if used == len(words):
-            words += bg.random_raw(2 * size).tolist()
-        want_ambiguous = words[used] >> 11 < ambiguous_below
-        used += 1
-        if taken[want_ambiguous] >= len(strata[want_ambiguous]):
-            if not warned:
-                warnings.warn(
-                    "requested stratum empty or exhausted; falling back to the other",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                warned = True
-            want_ambiguous = not want_ambiguous
-        stratum = strata[want_ambiguous]
-        n = len(stratum)
-        while True:  # integers(n) until an item not yet in the task comes up
-            if n > 1:
-                # Lemire's method on 32-bit halves, numpy's path for n <= 2**32; a stratum
-                # tuple never holds that many items, so there is no 64-bit branch.
-                if has_spare:
-                    half, has_spare = spare, 0  # numpy leaves a used half in `uinteger`
-                else:
-                    if used == len(words):
-                        words += bg.random_raw(2 * size).tolist()
-                    half, has_spare, spare = words[used] & 0xFFFFFFFF, 1, words[used] >> 32
-                    used += 1
-                m = half * n
-                if m & 0xFFFFFFFF < (2**32 - n) % n:
-                    continue
-                item = stratum[m >> 32]
-            else:  # numpy returns the one value of a one-value range and reads no bits
-                item = stratum[0]
-            if item not in chosen:
-                break
-        chosen.add(item)
-        taken[want_ambiguous] += 1
-        picks.append(item)
+    for _ in range(n_tasks):
+        taken = [0, 0]  # draws taken per stratum
+        chosen: set[int] = set()
+        warned = False
+        for _ in range(size):
+            if at == block:
+                done, words, at = done + at, bg.random_raw(block).tolist(), 0
+            want_ambiguous = words[at] < ambiguous_below
+            at += 1
+            if taken[want_ambiguous] == strata[want_ambiguous][1]:
+                if not warned:
+                    message = "requested stratum empty or exhausted; falling back to the other"
+                    warnings.warn(message, RuntimeWarning, stacklevel=3)
+                    warned = True
+                want_ambiguous = not want_ambiguous
+            stratum, n, limit = strata[want_ambiguous]
+            while True:  # integers(n) until an item not yet in the task comes up
+                if n > 1:
+                    # Lemire's method on 32-bit halves, numpy's path for n <= 2**32; a stratum
+                    # tuple never holds that many items, so there is no 64-bit branch.
+                    if has_spare:
+                        half, has_spare = spare, 0  # numpy leaves a used half in `uinteger`
+                    else:
+                        if at == block:
+                            done, words, at = done + at, bg.random_raw(block).tolist(), 0
+                        half, has_spare, spare = words[at] & 0xFFFFFFFF, 1, words[at] >> 32
+                        at += 1
+                    m = half * n
+                    if m & 0xFFFFFFFF < limit:
+                        continue
+                    item = stratum[m >> 32]
+                else:  # numpy returns the one value of a one-value range and reads no bits
+                    item = stratum[0]
+                if item not in chosen:
+                    break
+            chosen.add(item)
+            taken[want_ambiguous] += 1
+            picks.append(item)
     # Keep exactly the words used: random_raw moves the 128-bit state and leaves the
     # spare half alone, so replay them from the start state with the final spare.
     start["has_uint32"], start["uinteger"] = has_spare, spare
     bg.state = start
-    bg.random_raw(used)
-    return tuple(picks)
+    bg.random_raw(done + at, output=False)
+    return np.array(picks, dtype=np.int64).reshape(n_tasks, size)
 
 
 def total_with_perfect_heuristic(d_hat_on_rh: float, p: HeuristicPartition) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import TallyState, VoteLog, _read_text
-from .priority import DEFAULT_EPSILON, EpsilonPolicy, HeuristicPartition, draw_task, partition
+from .priority import DEFAULT_EPSILON, EpsilonPolicy, HeuristicPartition, draw_tasks, partition
 
 __all__ = [
     "SimScenario",
@@ -72,6 +72,8 @@ class SimScenario:
         votes = self.n_tasks * min(self.task_size, self.n_items)  # simulate holds 8 bytes each
         if votes >= 2**60:
             raise ValueError(f"n_tasks * task_size (at most n_items) must be below 2**60: {votes}")
+        if self.n_items == 0 and self.n_tasks > 0:
+            raise ValueError("n_items must be >= 1 when n_tasks > 0, got 0")
         if self.n_dirty > self.n_items:
             raise ValueError("n_dirty cannot exceed n_items")
         for name in ("fp_rate", "fn_rate", "epsilon", "heuristic_error"):
@@ -129,27 +131,25 @@ def simulate(sc: SimScenario) -> tuple[VoteLog, GroundTruth]:
     truth_mask = np.zeros(sc.n_items, dtype=bool)
     truth_mask[dirty_items] = True
 
-    policy = None
-    part = None
+    size = min(sc.task_size, sc.n_items)
     if sc.prioritize:
         part = _synthetic_partition(truth_mask, sc.heuristic_error, rng)
         policy = EpsilonPolicy(epsilon=sc.epsilon, seed=int(rng.integers(2**32)))
-
-    size = min(sc.task_size, sc.n_items)
-    items = np.empty((sc.n_tasks, size), dtype=np.int64)
-    draws = np.empty((sc.n_tasks, size))  # one uniform per vote, drawn after its task
-    for k in range(sc.n_tasks):
-        if sc.prioritize:
-            items[k] = draw_task(part, policy, size)
-        else:
+        # The policy has its own stream, so one call gives the uniforms per-task calls would.
+        items = draw_tasks(part, policy, size, sc.n_tasks)
+        draws = rng.random((sc.n_tasks, size))
+    else:
+        items = np.empty((sc.n_tasks, size), dtype=np.int64)
+        draws = np.empty((sc.n_tasks, size))  # one uniform per vote, drawn after its task
+        for k in range(sc.n_tasks):
             items[k] = rng.choice(sc.n_items, size=size, replace=False)
-        draws[k] = rng.random(size)
+            draws[k] = rng.random(size)
     items, draws = items.ravel(), draws.ravel()
     dirty = np.where(truth_mask[items], draws >= sc.fn_rate, draws < sc.fp_rate)
     codes, names = np.repeat(np.arange(sc.n_tasks), size), tuple(map(str, range(sc.n_tasks)))
     # Task k goes to worker k alone, so one code column serves both.
     log = VoteLog(items, dirty, codes, codes, tuple(f"w{k}" for k in names), names, sc.n_items)
-    return log, GroundTruth(dirty_set=frozenset(int(i) for i in dirty_items), n_items=sc.n_items)
+    return log, GroundTruth(dirty_set=frozenset(dirty_items.tolist()), n_items=sc.n_items)
 
 
 def srmse(estimates: Sequence[float], truth: float) -> float:

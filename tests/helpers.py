@@ -19,6 +19,7 @@ from errest.core import FStatistics, MalformedInputError, VoteLog, error_fstats,
 from errest.estimators import EstimatorOutput, InsufficientDataError
 from errest.estimators import chao92, majority, nominal, vchao92
 from errest.pairs import RecordTable
+from errest.priority import HeuristicPartition, stratum_rule
 from errest.switch import Direction, Trend, d_switch, replay_switches, switch_fstats
 from errest.switch import switch_total_errors
 from errest.trajectory import Trajectory
@@ -179,6 +180,15 @@ def draw_task_oracle(p, policy, size):
         taken[want_ambiguous] += 1
         picks.append(item)
     return tuple(picks)
+
+
+def partition_oracle(scores, alpha, beta):
+    """partition by one stratum_rule call per item, in item order."""
+    rule = stratum_rule(alpha, beta)
+    strata = {"ambiguous": [], "auto_dirty": [], "auto_clean": []}
+    for item, score in enumerate(np.asarray(scores, dtype=float).tolist()):
+        strata[rule(score)].append(item)
+    return HeuristicPartition(**{name: tuple(items) for name, items in strata.items()})
 
 
 def assert_first_appearance_codes(log):

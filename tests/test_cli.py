@@ -8,10 +8,11 @@ import sys
 import tempfile
 import warnings
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+import numpy as np
 import pytest
 
-from errest.cli import main
+from errest.cli import _fmt_column, fmt, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -325,6 +326,17 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 2
         assert "n_tasks * task_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prioritize", [False, True])
+    def test_zero_items_with_tasks_named_exit_2(self, tmp_path, capsys, prioritize):
+        # Every task would be empty, so the summary would hold no estimate at all.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            dict(n_items=0, n_dirty=0, task_size=3, n_tasks=3, prioritize=prioritize)))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert "n_items must be >= 1 when n_tasks > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deeply_nested_scenario_exit_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text("[" * 100000 + "]" * 100000)
@@ -467,6 +479,17 @@ class TestSimulate:
                     if r["task_index"] == k and r["estimator"] == name
                 )
                 assert sim_cell == est_row[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-310, 1e16]),
+), max_size=30))
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 123456789.5])
+def test_column_cells_equal_fmt_per_cell(values):
+    column = np.array(values, dtype=float)
+    assert _fmt_column(column) == list(map(fmt, column))
 
 
 class TestPairs:
