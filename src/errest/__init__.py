@@ -31,7 +31,6 @@ from .switch import (
     SwitchEvent,
     SwitchReplay,
     SwitchStats,
-    Trend,
     d_switch,
     replay_switches,
     switch_fstats,

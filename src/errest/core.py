@@ -266,7 +266,8 @@ def _plain_columns(text: str):
     Plain text is ASCII with the exact header, LF line ends, no byte of _NOT_PLAIN and
     no line over the csv field limit: csv.reader plus strip would give the same cells.
     Ids and labels are read as bytes as wide as the longest cell of their column, which
-    the separators give; returns the VoteLog columns, ids as codes and names.
+    the separators give; returns the VoteLog columns, ids as codes and names, and each
+    vote's line, as _vote_rows does.
     """
     raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
     if len(raw.translate(None, _NOT_PLAIN)) < len(text) or not text.startswith(_PLAIN_HEADER):
@@ -282,6 +283,7 @@ def _plain_columns(text: str):
     # Each row's four cells lie between its five edges: the line's ends and its commas.
     edges = np.column_stack((starts[full] - 1, commas.reshape(-1, 3), ends[full]))[1:]
     widths = np.maximum(np.diff(edges).max(axis=0) - 1, 1).tolist()  # per column
+    lines = np.flatnonzero(full)[1:] + 1
     if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw) or widths[2] > 18:
         return None  # too wide, or an item_id over 18 digits, maybe past int64
     inside = np.zeros(len(raw), bool)  # toggled at each item cell's first byte and its end
@@ -308,7 +310,7 @@ def _plain_columns(text: str):
         order = np.argsort(first)  # numbered in order of first appearance, as from_ids does
         codes.append(np.argsort(order)[inverse])
         names.append(tuple(unique[order].astype(str).tolist()))
-    return votes["item"].copy(), dirty, *codes, *names
+    return votes["item"].copy(), dirty, *codes, *names, lines
 
 
 def _vote_rows(text: str) -> tuple:
@@ -345,11 +347,12 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     text = _read_text(path)
     columns, make = _plain_columns(text.replace("\r\n", "\n")), VoteLog
     if columns is None:
-        columns, make = _vote_rows(text)[:4], VoteLog.from_ids
+        columns, make = _vote_rows(text), VoteLog.from_ids
+    *columns, lines = columns
     try:
         return make(*columns, item_count)
-    except MalformedInputError as exc:  # the log contract: the row scan names the vote's line
-        raise MalformedInputError(str(exc), _vote_rows(text)[4][exc.position]) from None
+    except MalformedInputError as exc:  # the log contract: the vote's line from its reader
+        raise MalformedInputError(str(exc), int(lines[exc.position])) from None
 
 
 def _write_rows(path, rows: Iterable) -> None:

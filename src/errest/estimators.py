@@ -50,11 +50,6 @@ class EstimatorOutput(NamedTuple):
     coverage_hat: float | np.ndarray
     cv2_hat: float | np.ndarray
 
-    @property
-    def flags(self) -> tuple[str, ...]:
-        """Degenerate-input markers of one sample: LOW_COVERAGE at zero coverage."""
-        return (LOW_COVERAGE,) if self.coverage_hat == 0.0 else ()
-
 
 def nominal(t: TallyState) -> int:
     """Number of items marked dirty by at least one worker."""
@@ -124,7 +119,7 @@ def _chao_form(c, f, skew, universe: int | None) -> EstimatorOutput:
     at its own coverage-only estimate. At zero coverage (every
     observation a singleton) the ratio form diverges; the estimate is
     then capped at the item universe size when one is supplied (infinite
-    otherwise) and flagged LOW_COVERAGE.
+    otherwise); its coverage_hat of 0.0 is the LOW_COVERAGE condition.
     """
     cover = np.asarray(coverage(f))
     skew_cover = np.asarray(coverage(skew))

@@ -11,7 +11,6 @@ to smooth trajectory comparisons.
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, Sequence
 
@@ -91,13 +90,6 @@ class GroundTruth:
     dirty_set: frozenset[int]
     n_items: int
 
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """Boolean mask of the dirty set over the universe."""
-        mask = np.zeros(self.n_items, dtype=bool)
-        mask[list(self.dirty_set)] = True
-        return mask
-
     def switches_needed(self, t: TallyState) -> tuple[int, int]:
         """Consensus flips needed to reach the truth from a tally.
 
@@ -106,7 +98,8 @@ class GroundTruth:
         needs exactly one flip.
         """
         consensus = t.pos > t.neg
-        truth = self.mask
+        truth = np.zeros(self.n_items, dtype=bool)
+        truth[list(self.dirty_set)] = True
         positive = int(np.count_nonzero(truth & ~consensus))
         negative = int(np.count_nonzero(~truth & consensus))
         return positive, negative

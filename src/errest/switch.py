@@ -19,7 +19,7 @@ the number of consensus flips still expected.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from .estimators import EstimatorOutput, InsufficientDataError, Moments, chao92
 
 __all__ = [
     "Direction",
-    "Trend",
     "SwitchEvent",
     "SwitchStats",
     "SwitchReplay",
@@ -45,14 +44,6 @@ class Direction(Enum):
 
     POSITIVE = "positive"
     NEGATIVE = "negative"
-
-
-class Trend(IntEnum):
-    """Recent movement of the strict-majority count, valued as the sign of the change."""
-
-    INCREASING = 1
-    DECREASING = -1
-    FLAT = 0
 
 
 class SwitchEvent(NamedTuple):
@@ -207,14 +198,14 @@ def d_switch(f: FStatistics | Moments, universe: int | None = None) -> Estimator
     return chao92(f, universe=universe)
 
 
-def switch_total_errors(m, xi_pos, xi_neg, trend: Trend | np.ndarray, universe: int):
+def switch_total_errors(m, xi_pos, xi_neg, trend, universe: int):
     """Adjust the strict-majority count m by the expected remaining flips.
 
-    xi_pos and xi_neg are the one-sided remaining_hat figures of d_switch. A
-    rising majority count means undiscovered errors dominate, so only
-    xi_pos is added; a falling one subtracts xi_neg; a flat majority
-    applies both. The result is clamped to [0, universe]. On columns,
-    trend holds the Trend values and the result is a column.
+    xi_pos and xi_neg are the one-sided remaining_hat figures of d_switch, and
+    trend is the sign (1, -1 or 0) of the majority count's recent change. A
+    rising count means undiscovered errors dominate, so only xi_pos is added;
+    a falling one subtracts xi_neg; a flat one applies both. The result is
+    clamped to [0, universe], and a column of signs gives a column.
     """
     sign = np.asarray(trend)
     value = np.where(sign > 0, m + xi_pos, np.where(sign < 0, m - xi_neg, m + xi_pos - xi_neg))

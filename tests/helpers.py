@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 import numpy as np
 
 from errest.core import FStatistics, MalformedInputError, VoteLog, error_fstats, tally
-from errest.estimators import EstimatorOutput, InsufficientDataError
+from errest.estimators import EstimatorOutput, InsufficientDataError, LOW_COVERAGE
 from errest.estimators import chao92, majority, nominal, vchao92
 from errest.pairs import RecordTable
 from errest.priority import HeuristicPartition, stratum_rule
-from errest.switch import Direction, Trend, d_switch, replay_switches, switch_fstats
+from errest.switch import Direction, d_switch, replay_switches, switch_fstats
 from errest.switch import switch_total_errors
 from errest.trajectory import Trajectory
 
@@ -604,11 +604,12 @@ def trend_from_history(history, window):
     now = history[-1]
     ref_index = len(history) - 1 - window
     ref = history[ref_index] if ref_index >= 0 else 0
-    if now > ref:
-        return Trend.INCREASING
-    if now < ref:
-        return Trend.DECREASING
-    return Trend.FLAT
+    return (now > ref) - (now < ref)
+
+
+def low_coverage(est):
+    """The degenerate-input markers of one sample's estimate: LOW_COVERAGE at zero coverage."""
+    return (LOW_COVERAGE,) if est.coverage_hat == 0.0 else ()
 
 
 def trajectory_oracle(log, shift, trend_window, truth=None):
@@ -629,17 +630,17 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
         chao = chao92(f, universe=n)
         try:
             vest = vchao92(f, m, shift=shift, universe=n)
-            vchao_total, vchao_flags = vest.total_errors_hat, vest.flags
+            vchao_total, vchao_flags = vest.total_errors_hat, low_coverage(vest)
         except InsufficientDataError:
             vchao_total, vchao_flags = None, ("insufficient-data",)
         xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
         xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
         trend = trend_from_history(history, trend_window)
         total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, trend, n)
-        flags = [f"chao92_total:{marker}" for marker in chao.flags]
+        flags = [f"chao92_total:{marker}" for marker in low_coverage(chao)]
         flags += [f"vchao92_total:{marker}" for marker in vchao_flags]
-        flags += [f"xi_pos:{marker}" for marker in xi_pos.flags]
-        flags += [f"xi_neg:{marker}" for marker in xi_neg.flags]
+        flags += [f"xi_pos:{marker}" for marker in low_coverage(xi_pos)]
+        flags += [f"xi_neg:{marker}" for marker in low_coverage(xi_neg)]
         truth_count = truth_xi_pos = truth_xi_neg = None
         if truth is not None:
             consensus = t.pos > t.neg

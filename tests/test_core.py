@@ -490,3 +490,28 @@ class TestCsv:
         )
         with pytest.raises(MalformedInputError, match="line 5.*twice"):
             read_votes_csv(path, item_count=1)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("rows", [
+        ["0,w0,0,1", "0,w1,1,0", "", "0,w0,0,0"],  # a repeated worker-item pair
+        ["0,w0,0,1", "1,w1,1,1", "", "0,w2,2,1"],  # a split task
+        ["0,w0,0,1", "0,w1,1,0", "", "0,w2,7,1"],  # an item outside the universe
+    ], ids=["repeat", "split", "outside"])
+    def test_plain_contract_errors_skip_row_scan(self, tmp_path, monkeypatch, rows, newline, bom):
+        # the plain reader names the offending vote's line itself, as the row scan would
+        path = tmp_path / "votes.csv"
+        text = newline.join(["task_id,worker_id,item_id,label", *rows]) + newline
+        path.write_bytes(bom + text.encode("ascii"))
+        with mock.patch.object(core, "_plain_columns", lambda text: None):
+            with pytest.raises(MalformedInputError) as scanned:
+                read_votes_csv(path, item_count=3)
+
+        def row_scan(text):
+            raise AssertionError("a plain file reached the row scan")
+
+        monkeypatch.setattr(core, "_vote_rows", row_scan)
+        with pytest.raises(MalformedInputError) as plain:
+            read_votes_csv(path, item_count=3)
+        assert (str(plain.value), plain.value.line) == (str(scanned.value), scanned.value.line)
+        assert plain.value.line == 5

@@ -6,7 +6,6 @@ import pytest
 
 from errest.core import FStatistics, TallyState
 from errest.estimators import (
-    LOW_COVERAGE,
     EstimatorOutput,
     InsufficientDataError,
     Moments,
@@ -130,12 +129,12 @@ class TestChao92:
         f = FStatistics(freq={1: 3}, n=3)
         out = chao92(f, universe=50)
         assert out.total_errors_hat == 50.0
-        assert LOW_COVERAGE in out.flags
+        assert out.coverage_hat == 0.0
 
     def test_zero_coverage_without_universe_is_infinite(self):
         out = chao92(FStatistics(freq={1: 3}, n=3))
         assert math.isinf(out.total_errors_hat)
-        assert LOW_COVERAGE in out.flags
+        assert out.coverage_hat == 0.0
 
     def test_never_below_observed(self):
         rng = np.random.default_rng(8)
@@ -298,11 +297,11 @@ class TestColumns:
         columns = [chao92(m, 50), d_switch(m, 50),
                    vchao92_columns(m, m.c, m.f1, self.column([0, 0]), 50)[0]]
         assert all(type(est) is EstimatorOutput for est in columns)
-        for f, flags in ((covered, ()), (singletons, (LOW_COVERAGE,))):
+        for f, low in ((covered, False), (singletons, True)):
             for out in (chao92(f, 50), d_switch(f, 50), vchao92(f, f.c, shift=0, universe=50)):
                 assert type(out) is EstimatorOutput
                 assert all(type(x) is float for x in out)  # no 0-d array leaks out
-                assert out.flags == flags
+                assert (out.coverage_hat == 0.0) == low
 
     @settings(max_examples=300, deadline=None)
     @given(

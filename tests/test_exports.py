@@ -1,8 +1,12 @@
 import importlib
+import importlib.util
+from pathlib import Path
 import pkgutil
 import types
 
 import errest
+from errest.sim import GroundTruth
+from errest.switch import SwitchReplay
 
 SUBMODULES = [
     importlib.import_module(f"errest.{info.name}")
@@ -22,3 +26,28 @@ def test_package_reexports_only_listed_names():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
         assert name in listed, f"errest.{name} is in no submodule's __all__"
+
+
+def test_benchmark_tracer_finds_and_restores_every_target():
+    # the benchmark's tracer raises when a name it traces is gone, so deleting a traced
+    # name fails here too; it must also put back every reference it rebinds
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = [errest, *SUBMODULES]
+    before = [dict(vars(module)) for module in modules]
+    methods = SwitchReplay.__dict__["snapshot"], GroundTruth.__dict__["switches_needed"]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert any(vars(module)[name] is not value
+                   for module, attrs in zip(modules, before) for name, value in attrs.items())
+    finally:
+        tracer.uninstall()
+    for module, attrs in zip(modules, before):
+        assert vars(module).keys() == attrs.keys()
+        for name, value in attrs.items():
+            assert vars(module)[name] is value, f"{module.__name__}.{name} was not restored"
+    assert SwitchReplay.__dict__["snapshot"] is methods[0]
+    assert GroundTruth.__dict__["switches_needed"] is methods[1]

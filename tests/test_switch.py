@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from errest.core import FStatistics, MalformedInputError, TallyState
-from errest.estimators import InsufficientDataError, LOW_COVERAGE, majority
+from errest.estimators import InsufficientDataError, majority
 from errest.switch import (
     Direction,
     SwitchEvent,
     SwitchReplay,
     SwitchStats,
-    Trend,
     d_switch,
     replay_switches,
     switch_fstats,
@@ -274,7 +273,7 @@ class TestDSwitch:
 
     def test_zero_coverage_cap(self):
         out = d_switch(FStatistics(freq={1: 2}, n=2), universe=9)
-        assert out.total_errors_hat == 9.0 and LOW_COVERAGE in out.flags
+        assert out.total_errors_hat == 9.0 and out.coverage_hat == 0.0
 
 
 class TestRemainingSwitches:
@@ -303,7 +302,7 @@ class TestRemainingSwitches:
         # two singleton flips: zero coverage, so the figure is the capped remainder
         stats = replay_switches(make_log([[(0, D)], [(1, D)]], item_count=2))
         out = d_switch(switch_fstats(stats), 9)
-        assert out.remaining_hat == 7.0 and out.flags == (LOW_COVERAGE,)
+        assert out.remaining_hat == 7.0 and out.coverage_hat == 0.0
 
 
 def synthetic_stats(mults_pos=(), mults_neg=(), n_switch=0):
@@ -336,24 +335,24 @@ class TestSwitchTotalErrors:
     def test_no_remaining_switches_any_trend(self):
         # doubleton-only events: both one-sided estimates are exactly c
         stats = synthetic_stats(mults_pos=(2,), mults_neg=(2,), n_switch=4)
-        for trend in Trend:
+        for trend in (1, -1, 0):
             assert self.total([1, 1, 0, 0], [0, 0, 1, 0], stats, trend) == 2.0
 
     def test_increasing_adds_positive_estimate(self):
         stats = synthetic_stats(mults_pos=(1, 3), n_switch=4)  # xi+ = 28/9 - 2
-        out = self.total([1] * 5 + [0] * 5, [0] * 10, stats, Trend.INCREASING)  # majority 5
+        out = self.total([1] * 5 + [0] * 5, [0] * 10, stats, 1)  # majority 5
         assert out == pytest.approx(5 + 28 / 9 - 2, rel=1e-9)
 
     def test_decreasing_subtracts_negative_estimate(self):
         stats = synthetic_stats(mults_neg=(1, 3), n_switch=4)
-        out = self.total([1] * 10, [0] * 10, stats, Trend.DECREASING)
+        out = self.total([1] * 10, [0] * 10, stats, -1)
         assert out == pytest.approx(10 - (28 / 9 - 2), rel=1e-9)
 
     def test_result_clamped_to_universe(self):
         stats = synthetic_stats(mults_pos=(1, 1, 1), n_switch=3)  # zero coverage
-        assert self.total([1, 1], [0, 0], stats, Trend.INCREASING) <= 2.0
-        assert switch_total_errors(2, 5.0, 0.0, Trend.INCREASING, 2) == 2.0
-        assert switch_total_errors(2, 0.0, 5.0, Trend.DECREASING, 2) == 0.0
+        assert self.total([1, 1], [0, 0], stats, 1) <= 2.0
+        assert switch_total_errors(2, 5.0, 0.0, 1, 2) == 2.0
+        assert switch_total_errors(2, 0.0, 5.0, -1, 2) == 0.0
 
 
 class TestConvergenceMechanics:
