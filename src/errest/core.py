@@ -86,15 +86,17 @@ class VoteLog:
         for code, names in zip(codes, (self.worker_names, self.task_names)):
             if ((code < 0) | (code >= len(names))).any() or len(set(names)) < len(names):
                 raise ValueError("vote-log codes must index distinct names")
-        # Check the raw ids before the int64 cast, which would overflow on huge ones;
-        # the other checks see only the votes before the first id outside.
+        # Check the raw ids exactly before the int64 cast: an int past int64 may make numpy
+        # round all to float64. The other checks see only the votes before the first outside.
         raw = np.asarray(self.item_ids)
+        raw = raw if raw.dtype.kind in "iu" else np.asarray(self.item_ids, dtype=object)
         outside = np.flatnonzero((raw < 0) | (raw >= self.item_count))
         end = int(outside[0]) if len(outside) else len(raw)
         items = np.asarray(raw[:end], dtype=np.int64)
         workers, task_codes = codes[0][:end], codes[1][:end]
-        order = np.lexsort((workers, items))  # stable: a pair's votes stay in arrival order
-        repeats = order[1:][(np.diff(items[order]) == 0) & (np.diff(workers[order]) == 0)]
+        pairs = _packable(items, len(self.worker_names)) * len(self.worker_names) + workers
+        order = _stable_order(pairs)[0]  # stable: a pair's votes stay in arrival order
+        repeats = order[1:][np.diff(pairs[order]) == 0]
         starts = np.flatnonzero(np.diff(task_codes, prepend=-1))
         later = np.ones(len(starts), dtype=bool)  # a block whose code an earlier block has
         later[np.unique(task_codes[starts], return_index=True)[1]] = False
@@ -123,6 +125,23 @@ class VoteLog:
     @property
     def task_count(self) -> int:
         return len(self.tasks)
+
+
+def _packable(keys: np.ndarray, scale: int) -> np.ndarray:
+    """keys, or their dense ranks (same order and equality) where (max+1)*scale passes int64."""
+    if len(keys) and int(keys.max()) >= np.iinfo(np.int64).max // scale:
+        return np.unique(keys, return_inverse=True)[1].reshape(-1)
+    return keys
+
+
+def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of non-negative int64 keys and its inverse, from one value sort
+    of the packed keys key * n + position: they are distinct, so every sort algorithm agrees."""
+    here = np.arange(len(keys))
+    order = np.sort(_packable(keys, len(keys)) * len(keys) + here) % len(keys)
+    back = np.empty_like(order)
+    back[order] = here
+    return order, back
 
 
 @dataclass(eq=False)
@@ -280,16 +299,18 @@ def _plain_columns(text: str):
     if ((ends - starts).max() > csv.field_size_limit() or not rows
             or len(commas) != 3 * rows + 3):
         return None  # not plain, a ragged row, or no row, on which loadtxt would warn
-    # Each row's four cells lie between its five edges: the line's ends and its commas.
-    edges = np.column_stack((starts[full] - 1, commas.reshape(-1, 3), ends[full]))[1:]
-    widths = np.maximum(np.diff(edges).max(axis=0) - 1, 1).tolist()  # per column
+    # Each row's four cells lie between the line's ends and its three commas.
+    left, middle, right = commas.reshape(-1, 3)[1:].T
+    cells = (left - starts[full][1:], middle - left - 1, right - middle - 1,
+             ends[full][1:] - right - 1)
+    widths = [max(int(cell.max()), 1) for cell in cells]  # per column
     lines = np.flatnonzero(full)[1:] + 1
     if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw) or widths[2] > 18:
         return None  # too wide, or an item_id over 18 digits, maybe past int64
     inside = np.zeros(len(raw), bool)  # toggled at each item cell's first byte and its end
-    inside[edges[:, 2] + 1] ^= True
-    inside[edges[:, 3]] ^= True  # an empty cell toggles its one byte back
-    del breaks, commas, starts, ends, full, edges  # freed before the parse peaks
+    inside[middle + 1] ^= True
+    inside[right] ^= True  # an empty cell toggles its one byte back
+    del breaks, commas, starts, ends, full, left, middle, right, cells  # freed before parsing
     items = byte[np.logical_xor.accumulate(inside, out=inside)]
     if ((items < 48) | (items > 57)).any():
         return None  # an item_id not all ASCII digits, which loadtxt may read via a float
@@ -307,8 +328,8 @@ def _plain_columns(text: str):
     codes, names = [], []
     for column in (votes["worker"], votes["task"]):
         unique, first, inverse = np.unique(column, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # numbered in order of first appearance, as from_ids does
-        codes.append(np.argsort(order)[inverse])
+        order, rank = _stable_order(first)  # numbered by first appearance, as from_ids does
+        codes.append(rank[inverse])
         names.append(tuple(unique[order].astype(str).tolist()))
     return votes["item"].copy(), dirty, *codes, *names, lines
 

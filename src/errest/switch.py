@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import FStatistics, MalformedInputError, VoteLog
+from .core import FStatistics, MalformedInputError, VoteLog, _stable_order
 from .estimators import EstimatorOutput, InsufficientDataError, Moments, chao92
 
 __all__ = [
@@ -107,8 +107,8 @@ class SwitchReplay:
         self._f: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._folded = self._done = 0  # the active votes folded in, and the votes replayed
         self._size = len(log)
-        # Running sums per item: cumsums over votes grouped by a stable sort.
-        order = np.argsort(log.item_ids, kind="stable")
+        # Running sums per item: cumsums over the votes grouped by item in arrival order.
+        order, back = _stable_order(log.item_ids)  # back: each vote's grouped position
         starts = np.flatnonzero(np.diff(log.item_ids[order], prepend=-1))
         sizes = np.diff(starts, append=len(order))
 
@@ -120,7 +120,6 @@ class SwitchReplay:
         pos, neg = running(dirty), running(1 - dirty)
         flip = (pos == neg) | ((pos + neg == 1) & (dirty == 1))
         flips = running(flip.astype(np.int64))  # the item's flips so far, this vote's included
-        back = np.argsort(order)  # each vote's position in the grouped order
         self.vote_pos, self.vote_neg = pos[back], neg[back]
         number = (np.cumsum(flip[back]) - 1)[order]  # a flip's event index
         here = np.arange(len(order))

@@ -104,12 +104,17 @@ def random_log(rng, max_items=8, max_votes_per_item=8, p_dirty=0.5):
 
 
 @st.composite
-def vote_logs(draw, max_items=6, max_tasks=12, max_task_size=3):
-    """Hypothesis strategy: a well-formed log of tasks of distinct items."""
+def vote_logs(draw, max_items=6, max_tasks=12, max_task_size=3, near_int64_edge=False):
+    """Hypothesis strategy: a well-formed log of tasks of distinct items.
+
+    With near_int64_edge, the item ids and the item count are shifted up so that the
+    universe ends just below 2**63, where a packed sort key of the ids overflows int64.
+    """
     n_items = draw(st.integers(1, max_items))
-    vote = st.tuples(st.integers(0, n_items - 1), st.sampled_from([D, C]))
+    offset = 2**63 - 1 - n_items - draw(st.integers(0, 3)) if near_int64_edge else 0
+    vote = st.tuples(st.integers(offset, offset + n_items - 1), st.sampled_from([D, C]))
     task = st.lists(vote, min_size=1, max_size=max_task_size, unique_by=lambda v: v[0])
-    return make_log(draw(st.lists(task, max_size=max_tasks)), item_count=n_items)
+    return make_log(draw(st.lists(task, max_size=max_tasks)), item_count=offset + n_items)
 
 
 @st.composite
@@ -199,15 +204,16 @@ def assert_first_appearance_codes(log):
 
 
 @st.composite
-def broken_columns(draw):
+def broken_columns(draw, near_int64_edge=False):
     """Columns of a vote_logs() log with up to four injected contract violations.
 
     Returns (item_ids, worker_ids, task_ids, item_count). Each injection
     picks a vote and, in any combination, puts its id outside the
     universe (negative, or beyond int64), gives it an earlier vote's
-    worker-item pair, or gives it an earlier vote's task.
+    worker-item pair, or gives it an earlier vote's task. near_int64_edge
+    is passed to vote_logs().
     """
-    log = draw(vote_logs())
+    log = draw(vote_logs(near_int64_edge=near_int64_edge))
     items, (workers, tasks) = log.item_ids.tolist(), map(list, vote_ids(log))
     kinds = st.sets(st.sampled_from(["universe", "duplicate", "split"]), min_size=1)
     spots = st.lists(st.tuples(st.integers(0, len(items) - 1), kinds), max_size=4)
@@ -615,16 +621,21 @@ def low_coverage(est):
 def trajectory_oracle(log, shift, trend_window, truth=None):
     """The trajectory recomputed from scratch at every task's end with the scalar estimators.
 
-    Truth switches are counted against the planted mask; None and flags
-    follow evaluate_trajectory's conventions.
+    Tallies span the logged items alone, renumbered 0, 1, ... in id order, so a
+    universe near 2**63 needs no array of its size; the estimators still get the
+    whole universe. Truth switches are counted against the planted set; None and
+    flags follow evaluate_trajectory's conventions.
     """
     n = log.item_count
+    logged, dense = np.unique(log.item_ids, return_inverse=True)
+    compact = VoteLog(dense.reshape(-1), log.dirty, log.worker_codes, log.task_codes,
+                      log.worker_names, log.task_names, len(logged))
     history = []
     columns = [[] for _ in fields(Trajectory)]
     for task_index, (_, _, end) in enumerate(log.tasks):
-        t = tally(log, end)
-        f = error_fstats(log, end)
-        stats = replay_switches(log, end)
+        t = tally(compact, end)
+        f = error_fstats(compact, end)
+        stats = replay_switches(compact, end)
         m = majority(t)
         history.append(m)
         chao = chao92(f, universe=n)
@@ -643,11 +654,10 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
         flags += [f"xi_neg:{marker}" for marker in low_coverage(xi_neg)]
         truth_count = truth_xi_pos = truth_xi_neg = None
         if truth is not None:
-            consensus = t.pos > t.neg
-            dirty = dirty_mask(truth)
+            consensus = set(logged[t.pos > t.neg].tolist())
             truth_count = len(truth.dirty_set)
-            truth_xi_pos = int((dirty & ~consensus).sum())
-            truth_xi_neg = int((~dirty & consensus).sum())
+            truth_xi_pos = len(truth.dirty_set - consensus)
+            truth_xi_neg = len(consensus - truth.dirty_set)
         row = (
             task_index, nominal(t), m, chao.total_errors_hat, vchao_total, total,
             xi_pos.remaining_hat, xi_neg.remaining_hat, chao.coverage_hat, truth_count,

@@ -194,6 +194,22 @@ class TestEstimate:
         (row,) = read_rows(out)
         assert row["truth"] == "1" and row["chao92_total"] == "1e+15"
 
+    def test_ids_near_int64_edge_same_bytes_as_small_ids(self, tmp_path):
+        # grouping votes by item packs ids into int64 sort keys; ids just below 2**63
+        # must group as the small ids in their place do
+        outputs = []
+        for ids in ((2**63 - 2, 2**63 - 2, 2**63 - 3), (1, 1, 0)):
+            votes = tmp_path / f"votes{len(outputs)}.csv"
+            rows = [f"{task},{worker},{item},{label}\n" for task, worker, item, label
+                    in zip((0, 1, 1), ("w0", "w1", "w1"), ids, (1, 0, 1))]
+            votes.write_text("task_id,worker_id,item_id,label\n" + "".join(rows))
+            out = tmp_path / f"out{len(outputs)}.csv"
+            args = ["estimate", str(votes), "--n-items", str(2**63 - 1), "--out", str(out)]
+            assert main(args) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert [row["majority"] for row in read_rows(out)] == ["1", "1"]
+
     def test_header_only_votes_file_quiet(self, tmp_path, capfd):
         # a plain header-only body is never handed to numpy's reader, which would warn
         votes = tmp_path / "votes.csv"

@@ -152,6 +152,45 @@ class TestFStatsFromTally:
             assert fstats_from_tally(t) == counter_fstats(t)
 
 
+def assert_contract_matches_oracle(columns, as_array):
+    """VoteLog accepts the columns with contract_violation's task blocks, or raises its
+    message at its position."""
+    item_ids, worker_ids, task_ids, item_count = columns
+    if as_array and all(-(2**63) <= i < 2**63 for i in item_ids):
+        item_ids = np.array(item_ids, dtype=np.int64)
+    dirty = [D] * len(task_ids)
+    expected = contract_violation(item_ids, worker_ids, task_ids, item_count)
+    if expected is None:
+        log = VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
+        assert list(log.tasks) == task_blocks(task_ids)
+    else:
+        with pytest.raises(MalformedInputError) as exc:
+            VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
+        assert (str(exc.value), exc.value.position) == expected
+
+
+class TestStableOrder:
+    """core._stable_order: one value sort of packed keys, the stable argsort's order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.lists(st.integers(0, 5), max_size=40),
+                  st.sampled_from([0, 2**40, 2**63 - 6])).map(lambda t: [k + t[1] for k in t[0]]),
+        st.lists(st.integers(0, 2**63 - 1), max_size=40)))
+    @example([])
+    @example([7])
+    @example([3] * 9)
+    @example([2**63 - 1] * 3)
+    @example([2**63 - 1, 0, 2**63 - 2, 0, 2**63 - 1])
+    @example([2**62, 2**62 - 1])  # (max + 1) * n is 2**63 + 2: one past int64
+    def test_equals_stable_argsort_with_inverse(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        order, back = core._stable_order(keys)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+        here = list(range(len(keys)))
+        assert back[order].tolist() == here and order[back].tolist() == here
+
+
 class TestVoteLogValidation:
     def test_duplicate_worker_item_rejected(self):
         with pytest.raises(MalformedInputError, match="votes twice"):
@@ -177,18 +216,15 @@ class TestVoteLogValidation:
     # two repeated pairs whose sort order is not their arrival order
     @example(([0, 0, 0, 0], ("w0", "w1", "w1", "w0"), ("0", "1", "2", "3"), 1), False)
     def test_matches_vote_by_vote_oracle(self, columns, as_array):
-        item_ids, worker_ids, task_ids, item_count = columns
-        if as_array and all(-(2**63) <= i < 2**63 for i in item_ids):
-            item_ids = np.array(item_ids, dtype=np.int64)
-        dirty = [D] * len(task_ids)
-        expected = contract_violation(item_ids, worker_ids, task_ids, item_count)
-        if expected is None:
-            log = VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
-            assert list(log.tasks) == task_blocks(task_ids)
-        else:
-            with pytest.raises(MalformedInputError) as exc:
-                VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
-            assert (str(exc.value), exc.value.position) == expected
+        assert_contract_matches_oracle(columns, as_array)
+
+    @settings(max_examples=200, deadline=None)
+    @given(broken_columns(near_int64_edge=True), st.booleans())
+    # a repeat and a split on one vote, among ids whose packed keys pass int64: the repeat
+    @example(([2**63 - 2, 2**63 - 3, 2**63 - 2, 2**63 - 3], ("w0", "w1", "w0", "w2"),
+              ("0", "1", "0", "2"), 2**63 - 1), True)
+    def test_matches_vote_by_vote_oracle_near_int64_edge(self, columns, as_array):
+        assert_contract_matches_oracle(columns, as_array)
 
     @pytest.mark.parametrize(
         "item_ids, message",
@@ -201,6 +237,13 @@ class TestVoteLogValidation:
         # [-1, 2**63] becomes a float64 array: the message keeps the int
         with pytest.raises(MalformedInputError, match=message) as exc:
             VoteLog.from_ids(item_ids, [D] * 3, ("w0",) * 3, ("t0",) * 3, item_count=3)
+        assert exc.value.position == 1
+
+    def test_id_past_int64_beside_ids_near_it_named_exactly(self):
+        # [2**63 - 2, 2**63] becomes a float64 array, in which both ids read 2**63
+        ids = [2**63 - 2, 2**63]
+        with pytest.raises(MalformedInputError, match=f"item_id {2**63} outside") as exc:
+            VoteLog.from_ids(ids, [D, D], ("w0", "w1"), ("t0", "t1"), item_count=2**63 - 1)
         assert exc.value.position == 1
 
     def test_codes_in_any_order(self):
@@ -335,6 +378,26 @@ class TestCsv:
         for name in ("item_ids", "dirty", "worker_codes", "task_codes"):
             assert getattr(plain, name).tolist() == getattr(scanned, name).tolist()
         assert (plain.worker_names, plain.task_names) == (scanned.worker_names, scanned.task_names)
+
+    @pytest.mark.parametrize("body", [
+        "a,b,1,0\nc,d,2,1\n",  # the header is wider than every cell
+        "t0,w0,1,1\n\nt0,w1,2,0\nlong-task-id,long-worker-id,123456789,1\n",  # widest last
+        "t0,w0,1,1\nt0,w1,2,0\nlong-task-id,long-worker-id,123456789,1",  # and no final LF
+        "t0,w0,5,1\n",  # one row
+        "t0,w0,5,0",  # one row, no final LF
+    ])
+    def test_plain_read_equals_row_scan_at_width_edges(self, body):
+        # the column widths come from the rows alone: a narrower read would cut ids
+        text = "task_id,worker_id,item_id,label\n" + body
+        *columns, lines = core._plain_columns(text)  # None, and so an error, if not plain
+        *scanned, scan_lines = core._vote_rows(text)
+        plain, row_scan = VoteLog(*columns, 10**9), VoteLog.from_ids(*scanned, 10**9)
+        assert_same_columns(plain, row_scan)
+        assert (plain.worker_names, plain.task_names) == (row_scan.worker_names,
+                                                          row_scan.task_names)
+        for name in ("worker_codes", "task_codes"):
+            assert getattr(plain, name).tolist() == getattr(row_scan, name).tolist()
+        assert lines.tolist() == scan_lines
 
     def test_long_id_goes_to_row_scan_within_width_budget(self, tmp_path):
         # one 5,000-character worker id would widen the worker column of a fixed-width

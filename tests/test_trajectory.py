@@ -51,6 +51,15 @@ class TestIncrementalReplay:
         assert traj == trajectory_oracle(log, shift, window, truth)
 
     @settings(max_examples=100, deadline=None)
+    @given(vote_logs(near_int64_edge=True), st.sampled_from([0, 1, 2]), st.data())
+    def test_rows_equal_oracle_near_int64_edge(self, log, shift, data):
+        # the item grouping packs ids into sort keys, which near 2**63 must not overflow
+        near_top = st.integers(log.item_count - 10, log.item_count - 1)  # holds every logged id
+        truth = GroundTruth(data.draw(st.frozensets(near_top)), log.item_count)
+        traj = evaluate_trajectory(log, shift=shift, truth=truth)
+        assert traj == trajectory_oracle(log, shift, DEFAULT_TREND_WINDOW, truth)
+
+    @settings(max_examples=100, deadline=None)
     @given(vote_logs())
     def test_row_invariants(self, log):
         n = log.item_count
