@@ -392,26 +392,27 @@ def write_votes_csv(log: VoteLog, path) -> None:
 
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:
-    """Load the true-dirty item set, one item_id per line; a failed check walks the lines."""
+    """Load the true-dirty item set, one item_id per line; plain text is one array parse."""
     text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")  # not splitlines: that also ends lines at \x0c and others
-    entries = list(filter(None, map(str.strip, lines)))
-    joined = "".join(entries)
-    if joined.isascii() and "_" not in joined:
-        try:
-            items = frozenset(map(int, entries))
-            if not items or min(items) >= 0 and max(items) < item_count:
-                return items
-        except ValueError:
-            pass
-    # The check above failed, so some line fails one of these: the walk names the first.
-    for line_no, raw in enumerate(lines, 1):
-        text = raw.strip()
-        if text:
-            item_id = _parse_id(text, "truth entry", line_no)
+    raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
+    if len(raw) == len(text) and not raw.translate(None, b"0123456789\n"):  # digits and LF alone
+        breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
+        widths = np.diff(breaks, prepend=-1, append=len(raw)) - 1  # of each line
+        ids = np.count_nonzero(widths)  # fromstring reads a text without one as [0]
+        if ids and widths.max() <= 18:  # so each id fits in int64
+            items = np.fromstring(raw, np.int64, sep="\n")
+            if len(items) == ids and int(items.max()) < item_count:
+                return frozenset(items.tolist())
+    items = set()  # any other text, line by line: the first bad line is named
+    for line_no, line in enumerate(text.split("\n"), 1):  # splitlines also ends at \x0c
+        entry = line.strip()
+        if entry:
+            item_id = _parse_id(entry, "truth entry", line_no)
             if not 0 <= item_id < item_count:
                 message = f"truth item {item_id} outside universe [0, {item_count})"
                 raise MalformedInputError(message, line_no)
+            items.add(item_id)
+    return frozenset(items)
 
 
 def write_truth_csv(dirty: Iterable[int], path) -> None:

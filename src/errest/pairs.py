@@ -91,8 +91,8 @@ def edit_distance(a: str, b: str) -> int:
     Hyyrö's (2003) global form on Python ints: the shorter string is the
     pattern, bit i of a vector stands for its row i, and each character
     of the longer string advances one DP column in O(ceil(m/w)) word
-    operations. pv/mv hold the +1/-1 vertical deltas of the column, and
-    `dist` follows the last row, D[m][j].
+    operations. pv/mv hold the +1/-1 vertical deltas of the column, so
+    D[m][n] is D[0][n] = n plus the deltas of the last column.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -103,23 +103,18 @@ def edit_distance(a: str, b: str) -> int:
     for i, c in enumerate(b):
         peq[c] = peq.get(c, 0) | 1 << i
     mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, dist = mask, 0, m
+    pv, mv = mask, 0
     for c in a:
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
         # Row 0 is D[0][j] = j, so a +1 horizontal delta enters at bit 0.
         ph = ph << 1 | 1
         pv = (mh << 1 | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+    return len(a) + pv.bit_count() - (mv & mask).bit_count()
 
 
 def similarity(a: Sequence[str], b: Sequence[str]) -> float:

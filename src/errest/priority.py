@@ -7,6 +7,8 @@ epsilon-randomized escape hatch into the rest of the universe so that
 heuristic mistakes can still surface.
 """
 
+from __future__ import annotations  # np.random loads only when a run draws
+
 import math
 import warnings
 from dataclasses import dataclass, field

@@ -8,6 +8,8 @@ the fixed-quorum task budget, and task-order permutation averaging used
 to smooth trajectory comparisons.
 """
 
+from __future__ import annotations  # np.random loads only when a run draws
+
 import json
 import math
 from dataclasses import dataclass, fields

@@ -17,9 +17,11 @@ path, and the gap between the estimate and the observed event count is
 the number of consensus flips still expected.
 """
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -94,46 +96,50 @@ class SwitchReplay:
 
     The constructor decides every vote's role at once, in arrays: its item's
     running dirty/clean counts after it (vote_pos, vote_neg, in arrival
-    order) and, unless it is a no-op, the index of the event it flips or
-    confirms (events are numbered as their flips arrive), that event's
-    parity (the item's flip count mod 2, which is 1 for a positive event) and
-    its multiplicity before the vote. advance only writes the events and moves
-    one class of a one-sided fingerprint, so a snapshot only copies state.
+    order) and, held flat per active vote (a flip, or a later vote on its
+    item), the key of the event it flips or confirms (the grouped position of
+    the flip), that event's parity (the item's flip count mod 2, which is 1
+    for a positive event), its multiplicity before the vote and the
+    SwitchEvent after it. advance writes a block of events into a dict whose
+    insertion order is flip order and moves one class of a one-sided
+    fingerprint per vote, so a snapshot only copies state.
     """
 
     def __init__(self, log: VoteLog):
-        self._events: list[SwitchEvent] = []
-        # (negative, positive) fingerprints, indexed by parity; they may hold zero counts.
+        self._events: dict[int, SwitchEvent] = {}
+        # (negative, positive) fingerprints, indexed by parity, without zero counts.
         self._f: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._folded = self._done = 0  # the active votes folded in, and the votes replayed
         self._size = len(log)
         # Running sums per item: cumsums over the votes grouped by item in arrival order.
         order, back = _stable_order(log.item_ids)  # back: each vote's grouped position
-        starts = np.flatnonzero(np.diff(log.item_ids[order], prepend=-1))
-        sizes = np.diff(starts, append=len(order))
+        here = np.arange(len(order))
+        first = np.maximum.accumulate(np.where(np.diff(log.item_ids[order], prepend=-1), here, 0))
 
-        def running(x):
+        def running(x):  # less the total before the item's first vote
             total = np.cumsum(x)
-            return total - np.repeat(total[starts] - x[starts], sizes)
+            return total - (total - x)[first]
 
         dirty = log.dirty[order].astype(np.int64)
-        pos, neg = running(dirty), running(1 - dirty)
-        flip = (pos == neg) | ((pos + neg == 1) & (dirty == 1))
+        pos = running(dirty)
+        neg = here - first + 1 - pos  # the vote's rank within its item, less pos
+        flip = (pos == neg) | ((here == first) & (dirty == 1))
         flips = running(flip.astype(np.int64))  # the item's flips so far, this vote's included
         self.vote_pos, self.vote_neg = pos[back], neg[back]
-        number = (np.cumsum(flip[back]) - 1)[order]  # a flip's event index
-        here = np.arange(len(order))
         # Forward fill within an item: the grouped position of its latest flip.
         latest = np.maximum.accumulate(np.where(flip, here, 0))
         at = np.flatnonzero(flips[back])  # the active votes: a flip, or a vote after one
-        self._at = at.tolist()
         grouped = back[at]
-        self._active = list(zip(
-            log.item_ids[at].tolist(),
-            number[latest[grouped]].tolist(),
-            (flips[grouped] % 2).tolist(),
-            (here - latest)[grouped].tolist(),  # the event's multiplicity before the vote
-        ))
+        self._parity = (flips[grouped] % 2).astype(np.uint8).tobytes()
+        self._old = (here - latest)[grouped].tolist()  # the event's multiplicity before the vote
+        # Positions pass 256, so they are held unboxed, not as one int object per vote.
+        self._at, self._keys = (array("q", x.astype(np.int64).tobytes())
+                                for x in (at, latest[grouped]))
+        # Freed before the per-vote objects are made, which lowers the peak memory.
+        del order, back, here, first, dirty, pos, neg, flip, flips, latest, grouped
+        self._built = list(map(tuple.__new__, repeat(SwitchEvent), zip(
+            log.item_ids[at].tolist(), map(_DIRECTIONS.__getitem__, self._parity),
+            map((1).__add__, self._old))))
 
     def advance(self, end: int) -> None:
         """Fold in the votes [done, end), done being the previous end (0 at first)."""
@@ -141,19 +147,18 @@ class SwitchReplay:
             raise MalformedInputError(f"prefix end {end} outside [0, {self._size}]")
         if end < self._done:
             raise ValueError(f"prefix end {end} is before the {self._done} votes replayed")
-        last = bisect_left(self._at, end)
-        for item_id, k, parity, old in self._active[self._folded:last]:
-            # At a flip k == len(self._events), where the one-slot write appends.
-            self._events[k:k + 1] = [SwitchEvent(item_id, _DIRECTIONS[parity], old + 1)]
+        block = slice(self._folded, bisect_left(self._at, end))
+        self._events.update(zip(self._keys[block], self._built[block]))
+        for parity, old in zip(self._parity[block], self._old[block]):
             freq = self._f[parity]
-            if old:
-                freq[old] -= 1
+            if old and (count := freq.pop(old) - 1):
+                freq[old] = count
             freq[old + 1] = freq.get(old + 1, 0) + 1
-        self._folded, self._done = last, end
+        self._folded, self._done = block.stop, end
 
     def snapshot(self) -> SwitchStats:
-        f_neg, f_pos = ({j: fj for j, fj in freq.items() if fj} for freq in self._f)
-        return SwitchStats(tuple(self._events), f_pos, f_neg, n_switch=self._folded)
+        f_neg, f_pos = map(dict, self._f)
+        return SwitchStats(tuple(self._events.values()), f_pos, f_neg, n_switch=self._folded)
 
     def prefix_moments(self, ends) -> tuple[Moments, Moments]:
         """Advance to each prefix end in turn: the snapshots' positive and negative switch

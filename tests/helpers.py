@@ -316,9 +316,10 @@ def parse_votes_oracle(path):
 
 
 def read_truth_oracle(path, item_count):
-    """A truth file read one line at a time, naming the first bad line."""
+    """A truth file read one line at a time, past any byte-order mark, naming the first
+    bad line."""
     items = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, 1):
             text = raw.strip()
             if not text:
@@ -495,6 +496,35 @@ def truth_texts(draw, item_count=6):
     for e, p in lines:
         text += p.format(e) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return text + draw(st.sampled_from(["", "3", "\x0c"]))
+
+
+@st.composite
+def plain_truth_texts(draw, item_count=6):
+    r"""Hypothesis strategy: truth text that is plain (ASCII digits and \n) or nearly so.
+
+    Ids may repeat, carry leading zeros or run to 18, 19 and 20 digits, and one may
+    equal item_count; lines may be blank. Half the texts are plain; in the others a
+    line may end in \r\n or \r, or hold a space, a tab, "_" or a non-ASCII digit.
+    Either may start with a byte-order mark.
+    """
+    digits = st.integers(0, 10**20 - 1).map(str)
+    entry = st.one_of(
+        st.integers(0, item_count - 1).map(str), st.integers(0, item_count - 1).map(str),
+        st.just(str(item_count)), st.just(""),
+        st.tuples(st.integers(0, item_count), st.sampled_from([18, 19, 20])).map(
+            lambda pair: str(pair[0]).zfill(pair[1])),  # leading zeros to 18-20 digits
+        st.sampled_from([18, 19, 20]).map(lambda width: "9" * width), digits,
+    )
+    odd = st.sampled_from([" {}", "{} ", "\t{}", "{}\t", "{} {}", "{}_{}", "\u0661{}",
+                           "{}\uff11"])
+    plain = draw(st.booleans())
+    pads = st.just("{}") if plain else st.one_of(st.just("{}"), st.just("{}"), odd)
+    ends = st.just("\n") if plain else st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    lines = draw(st.lists(st.tuples(entry, pads), max_size=10))
+    text = "".join(pad.replace("{}", e) + draw(ends) for e, pad in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1]  # no final line end
+    return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
 def counter_fstats(t):

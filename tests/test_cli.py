@@ -4,6 +4,7 @@ import io
 import json
 from pathlib import Path
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from errest import cli
 from errest.cli import _fmt_column, fmt, main
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +73,20 @@ NON_UTF8 = {  # (file bytes, line of the bad byte)
     "truth-bom": (BOM + b"1\n2\n\xff\n", 3),
     "scenario-bom": (BOM + b'{"n_items": 20,\n "n_dirty": 4,\n "\xff": 1}\n', 3),
 }
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # estimate and pairs draw nothing, so importing the CLI must not load np.random;
+    # numpy 1.x loads it on `import numpy` already, and there the test has nothing to see
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import numpy; " \
+           "print('numpy.random' in sys.modules); import errest.cli; " \
+           "print('numpy.random' in sys.modules)"
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True, timeout=60)
+    if out.stdout == "True\nTrue\n":
+        pytest.skip("import numpy loads numpy.random itself")
+    assert out.stdout == "False\nFalse\n"
 
 
 class TestEstimate:

@@ -35,6 +35,7 @@ from helpers import (
     log_votes,
     make_log,
     parse_votes_oracle,
+    plain_truth_texts,
     plain_votes_csv_texts,
     pooled_vote_logs,
     random_log,
@@ -462,21 +463,47 @@ class TestCsv:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert core._plain_columns(f"task_id,worker_id,item_id,label\n{rows}\n") is None
 
-    @settings(max_examples=400, deadline=None)
-    @given(truth_texts())
-    @example("1\x0c2\n0_2\r3\r\n\u0661\n")
-    def test_truth_matches_line_by_line_oracle(self, text):
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(truth_texts(), plain_truth_texts()), st.sampled_from([6, 2**63, 10**20]))
+    @example("1\x0c2\n0_2\r3\r\n\u0661\n", 6)
+    @example("", 6)
+    @example("\n", 6)
+    @example("\n\n", 6)
+    @example("0\n", 1)
+    @example("6\n", 6)  # an id equal to item_count
+    @example("999999999999999999\n", 10**18)  # 18 digits, the widest array parse
+    @example("9223372036854775807\n", 2**63)  # 19 digits: read line by line
+    def test_truth_matches_line_by_line_oracle(self, text, item_count):
+        # the same set, or the same message on the same line, on any text
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "truth.csv"
             path.write_bytes(text.encode("utf-8"))
             try:
-                expected = read_truth_oracle(path, item_count=6)
+                expected = read_truth_oracle(path, item_count)
             except MalformedInputError as exc:
                 with pytest.raises(MalformedInputError) as got:
-                    read_truth_csv(path, item_count=6)
+                    read_truth_csv(path, item_count)
                 assert (str(got.value), got.value.line) == (str(exc), exc.line)
             else:
-                assert read_truth_csv(path, item_count=6) == expected
+                assert read_truth_csv(path, item_count) == expected
+
+    def test_plain_truth_parsed_as_array(self, tmp_path, monkeypatch):
+        # a write_truth_csv export, with or without CRLF line ends, is one np.fromstring
+        calls = []
+
+        def fromstring(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        parse = np.fromstring
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        dirty = {0, 7, 10**17, 999_999_999_999_999_999}
+        path = tmp_path / "truth.csv"
+        write_truth_csv(dirty, path)
+        assert read_truth_csv(path, item_count=10**18) == dirty
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert read_truth_csv(path, item_count=10**18) == dirty
+        assert len(calls) == 2
 
     def test_votes_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "votes.csv"

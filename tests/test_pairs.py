@@ -96,7 +96,20 @@ class TestEditDistance:
         ("ab" * 33, "ab" * 33, 0),
         ("abc" * 43, "abc" * 43, 0),
         ("\U0001F600" * 129, "\U0001F600" * 129, 0),
-    ], ids=["empty", "empty-long", "long-empty", "equal-66", "equal-129", "equal-astral-129"])
+        ("a", "a", 0),
+        ("a", "b", 1),
+        ("a", "", 1),
+        ("b", "a" * 70, 70),
+        ("x" * 64, "x" * 63 + "y", 1),  # the pattern fills one 64-bit word
+        ("x" * 65, "x" * 64 + "y", 1),  # the last row is the second word's first bit
+        ("x" * 64, "x" * 65, 1),
+        ("x" * 65, "y" * 65, 65),
+        ("café", "cafe", 1),
+        ("naïve résumé", "naive resume", 3),
+        ("日本語", "日本", 1),
+    ], ids=["empty", "empty-long", "long-empty", "equal-66", "equal-129", "equal-astral-129",
+            "one-equal", "one-substituted", "one-empty", "one-long", "substituted-64",
+            "substituted-65", "inserted-65", "disjoint-65", "accent", "accents", "cjk"])
     def test_edge_cases(self, a, b, want):
         assert edit_distance(a, b) == edit_distance_oracle(a, b) == want
 

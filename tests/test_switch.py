@@ -217,6 +217,7 @@ class TestIncrementalFingerprints:
             assert switch_fstats(stats).freq == expected
             assert stats.c_switch == len(stats.events) == len(oracle_events)
             assert stats.n_switch == n_switch
+            assert all(stats.f_pos.values()) and all(stats.f_neg.values())  # no zero count
 
     @settings(max_examples=200, deadline=None)
     @given(vote_logs(), st.data())
@@ -230,6 +231,7 @@ class TestIncrementalFingerprints:
             stats = replay.snapshot()
             assert [(e.item_id, e.direction is Direction.POSITIVE, e.multiplicity)
                     for e in stats.events] == events
+            assert {type(e) for e in stats.events} <= {SwitchEvent}
             assert stats.n_switch == n_switch
             expected = [labels.get(item, False) for item in range(log.item_count)]
             assert event_labels(stats, log.item_count) == expected
