@@ -131,7 +131,8 @@ def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
     """Score the candidate-pair universe and write it with stratum labels."""
     stratum = stratum_rule(alpha, beta)
     table = read_records_csv(records_csv)
-    rows = ((pair.left_id, pair.right_id, fmt(pair.similarity), stratum(pair.similarity))
+    # A similarity is always a finite float, so it needs none of fmt's cases.
+    rows = ((pair.left_id, pair.right_id, f"{pair.similarity:.9g}", stratum(pair.similarity))
             for pair in iter_scored_pairs(table))
     _write_rows(out, chain([PAIRS_HEADER], rows))
 

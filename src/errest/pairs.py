@@ -7,6 +7,7 @@ that can become the item universe for a cleaning pass.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -85,36 +86,43 @@ def normalize_fields(fields: Sequence[str]) -> str:
     return " ".join(" ".join(f.split()) for f in fields).lower()
 
 
+@lru_cache(maxsize=1)
+def _pattern_masks(pattern: str) -> dict[str, int]:
+    """Each character's bitmask: bit i is set where pattern[i] is it."""
+    peq = {}
+    for i, c in enumerate(pattern):
+        peq[c] = peq.get(c, 0) | 1 << i
+    return peq
+
+
 def edit_distance(a: str, b: str) -> int:
     """Levenshtein distance by the bit-vector algorithm of Myers (1999).
 
-    Hyyrö's (2003) global form on Python ints: the shorter string is the
-    pattern, bit i of a vector stands for its row i, and each character
-    of the longer string advances one DP column in O(ceil(m/w)) word
-    operations. pv/mv hold the +1/-1 vertical deltas of the column, so
-    D[m][n] is D[0][n] = n plus the deltas of the last column.
+    Hyyrö's (2003) global form on Python ints: `a` is the pattern, bit i
+    of a vector stands for its row i, and each character of `b` advances
+    one DP column in O(ceil(m/w)) word operations for m = len(a).
+    Consecutive calls with the same pattern reuse its character
+    bitmasks. pv/mv hold the +1/-1 vertical deltas of the column, masked
+    to m bits so that no value is negative, and D[m][n] is D[0][n] = n
+    plus the deltas of the last column.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    m = len(b)
+    m = len(a)
     if not m:
-        return len(a)
-    peq = {}
-    for i, c in enumerate(b):
-        peq[c] = peq.get(c, 0) | 1 << i
+        return len(b)
+    peq = _pattern_masks(a)
     mask = (1 << m) - 1
     pv, mv = mask, 0
-    for c in a:
+    for c in b:
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        ph = mv | mask ^ (xh | pv)
         mh = pv & xh
         # Row 0 is D[0][j] = j, so a +1 horizontal delta enters at bit 0.
-        ph = ph << 1 | 1
-        pv = (mh << 1 | ~(xv | ph)) & mask
+        ph = (ph << 1 | 1) & mask
+        pv = mh << 1 & mask | mask ^ (xv | ph)
         mv = ph & xv
-    return len(a) + pv.bit_count() - (mv & mask).bit_count()
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def similarity(a: Sequence[str], b: Sequence[str]) -> float:
@@ -127,6 +135,8 @@ def similarity(a: Sequence[str], b: Sequence[str]) -> float:
     longest = max(len(na), len(nb))
     if longest == 0:
         return 1.0
+    # `a` is the pattern: in canonical pair order one left record leads a
+    # run of pairs, so edit_distance builds its bitmasks once per run.
     return 1.0 - edit_distance(na, nb) / longest
 
 

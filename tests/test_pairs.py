@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from errest.core import MalformedInputError
 from errest.pairs import (
     RecordTable,
+    _pattern_masks,
     edit_distance,
     iter_scored_pairs,
     normalize_fields,
@@ -113,6 +114,27 @@ class TestEditDistance:
     def test_edge_cases(self, a, b, want):
         assert edit_distance(a, b) == edit_distance_oracle(a, b) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.just("")
+            | st.text(st.sampled_from("ab\u0301\U0001F600"), min_size=64, max_size=65)
+            | TEXT,
+            min_size=3, max_size=3,
+        ),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=12),
+    )
+    @example(["", "a" * 64, "a" * 63 + "\U0001F600\u0301"],
+             [(1, 2), (1, 2), (2, 1), (1, 0), (2, 2), (1, 2), (0, 1)])
+    @example(["a" * 65, "a" * 64 + "b", "\u0301" * 65], [(0, 1), (1, 0), (0, 2), (0, 1)])
+    def test_pattern_memo_never_stale(self, pool, calls):
+        # Each pass runs the calls in order, so a pattern repeats, alternates
+        # with another of the same length and comes back from the memo.
+        pairs = [(pool[p], pool[t]) for p, t in calls]
+        forward = [edit_distance(pattern, text) for pattern, text in pairs]
+        swapped = [edit_distance(text, pattern) for pattern, text in pairs]
+        assert forward == swapped == [edit_distance_oracle(p, t) for p, t in pairs]
+
 
 class TestCanonicalization:
     def test_each_unordered_pair_once_sorted(self):
@@ -156,6 +178,14 @@ class TestStreaming:
         tracemalloc.stop()
         assert count == n * (n - 1) // 2
         assert peak < 10 * 1024 * 1024  # far below the ~60MB of materialized pairs
+
+    def test_one_pattern_table_per_left_record(self):
+        # Canonical order runs each left record's pairs back to back, and
+        # similarity makes the left record the pattern: 15 pairs, 5 tables.
+        t = table_of(*((f"r{i}", (f"record {i}", "x" * i)) for i in range(6)))
+        _pattern_masks.cache_clear()
+        assert len(list(iter_scored_pairs(t))) == 15
+        assert _pattern_masks.cache_info().misses == 5
 
 
 class TestRecordsCsv:
