@@ -5,22 +5,15 @@ errors, 3 for internal invariant violations.
 """
 
 import argparse
-import math
 import os
 import sys
 import traceback
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
-from .core import (
-    _write_rows,
-    read_truth_csv,
-    read_votes_csv,
-    write_truth_csv,
-    write_votes_csv,
-)
+from .core import _csv_quoted, _write_table, read_truth_csv, read_votes_csv
+from .core import write_truth_csv, write_votes_csv
 from .sim import GroundTruth, load_scenario, permute_and_average, simulate
 from .trajectory import (
     DEFAULT_SHIFT,
@@ -44,20 +37,9 @@ SUMMARY_HEADER = ["task_index", "estimator", "mean", "std", "truth"]
 PAIRS_HEADER = ["left_id", "right_id", "similarity", "stratum"]
 
 
-def fmt(value) -> str:
-    """Platform-stable cell formatting: 9 significant digits, '' for gaps."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return f"{value:.9g}"
-    return str(value)
-
-
-def _fmt_column(values: np.ndarray) -> list[str]:
-    """`fmt` of each value of a float array, in row-major order."""
-    return ["" if v != v else f"{v:.9g}" for v in values.ravel().tolist()]  # v != v: NaN
+def _fmt_column(values):
+    """Yield each float at 9 significant digits, NaN and None as '', as the writer reads it."""
+    return ("" if v is None or v != v else f"{v:.9g}" for v in values)
 
 
 def run_estimate(
@@ -74,8 +56,10 @@ def run_estimate(
     if truth_csv is not None:
         truth = GroundTruth(read_truth_csv(truth_csv, n_items), n_items)
     traj = evaluate_trajectory(log, shift=shift, trend_window=trend_window, truth=truth)
-    cells = [map(fmt, getattr(traj, name)) for name in TRAJECTORY_HEADER[:-1]]
-    _write_rows(out, chain([TRAJECTORY_HEADER], zip(*cells, map(";".join, traj.flags))))
+    floats = [_fmt_column(getattr(traj, name)) for name in TRAJECTORY_HEADER[3:-2]]
+    rows = zip(traj.task_index, traj.nominal, traj.majority, *floats,
+               [""] * len(traj) if truth is None else traj.truth, map(";".join, traj.flags))
+    _write_table(out, TRAJECTORY_HEADER, "%d,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s\n", rows)
 
 
 def run_simulate(
@@ -119,22 +103,23 @@ def run_simulate(
     averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)
 
     # One row per (task, estimator), in row-major order of the (tasks, n_est) matrices.
-    n_tasks, mean, std = len(averaged.mean), averaged.mean[:, :n_est], averaged.std[:, :n_est]
-    truths = np.full((n_tasks, n_est), fmt(sc.n_dirty), dtype=object)
-    truths[:, -2:] = np.reshape(_fmt_column(averaged.mean[:, n_est:]), (-1, 2))
+    n_tasks = len(averaged.mean)
+    truths = np.full((n_tasks, n_est), str(sc.n_dirty), dtype=object)
+    truths[:, -2:] = np.reshape([*_fmt_column(averaged.mean[:, n_est:].ravel().tolist())], (-1, 2))
+    mean, std = (_fmt_column(a[:, :n_est].ravel().tolist()) for a in (averaged.mean, averaged.std))
     rows = zip(np.repeat(np.arange(n_tasks), n_est).tolist(), ESTIMATE_COLUMNS * n_tasks,
-               _fmt_column(mean), _fmt_column(std), truths.ravel().tolist())
-    _write_rows(out, chain([SUMMARY_HEADER], rows))
+               mean, std, truths.ravel().tolist())
+    _write_table(out, SUMMARY_HEADER, "%d,%s,%s,%s,%s\n", rows)
 
 
 def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
     """Score the candidate-pair universe and write it with stratum labels."""
     stratum = stratum_rule(alpha, beta)
     table = read_records_csv(records_csv)
-    # A similarity is always a finite float, so it needs none of fmt's cases.
-    rows = ((pair.left_id, pair.right_id, f"{pair.similarity:.9g}", stratum(pair.similarity))
+    quoted = dict(zip(table.ids, _csv_quoted(table.ids)))
+    rows = ((quoted[pair.left_id], quoted[pair.right_id], pair.similarity, stratum(pair.similarity))
             for pair in iter_scored_pairs(table))
-    _write_rows(out, chain([PAIRS_HEADER], rows))
+    _write_table(out, PAIRS_HEADER, "%s,%s,%.9g,%s\n", rows)
 
 
 def _int_at_least(text: str, low: int) -> int:

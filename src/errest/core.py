@@ -12,8 +12,8 @@ import io
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -376,19 +376,31 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
         raise MalformedInputError(str(exc), int(lines[exc.position])) from None
 
 
-def _write_rows(path, rows: Iterable) -> None:
-    """Write CSV rows as UTF-8 with LF line ends to path, or to sys.stdout (left open) for "-"."""
+def _write_table(path, header: Sequence[str], row_format: str, rows: Iterator[tuple]) -> None:
+    """Write a CSV table as UTF-8 with LF line ends to path, or to sys.stdout (left open) for
+    "-": the header line unless empty, then one row_format % per block of 4,096 rows."""
     out = nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="", encoding="utf-8")
     with out as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        fh.write(",".join(header) + "\n" if header else "")
+        while block := tuple(chain.from_iterable(islice(rows, 4096))):
+            fh.write(row_format * (len(block) // row_format.count("%")) % block)
+
+
+def _csv_quoted(names: Sequence[str]) -> list[str]:
+    """Each name as a csv.writer cell; the CRLF terminator makes csv quote a lone CR too."""
+    buf = io.StringIO()
+    lengths = list(map(csv.writer(buf, lineterminator="\r\n").writerow, zip(names, repeat(""))))
+    text = buf.getvalue()  # each name's row is its cell, then ",\r\n"; quoting lengthens it
+    return [text[end - n:end - 3] if n - 3 > len(name) else name
+            for name, n, end in zip(names, lengths, accumulate(lengths))]
 
 
 def write_votes_csv(log: VoteLog, path) -> None:
     """Write the log as a plain votes CSV to path, or to stdout for "-"."""
-    tasks = map(log.task_names.__getitem__, log.task_codes.tolist())
-    workers = map(log.worker_names.__getitem__, log.worker_codes.tolist())
+    tasks = map(_csv_quoted(log.task_names).__getitem__, log.task_codes.tolist())
+    workers = map(_csv_quoted(log.worker_names).__getitem__, log.worker_codes.tolist())
     votes = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
-    _write_rows(path, chain([VOTES_CSV_HEADER], votes))
+    _write_table(path, VOTES_CSV_HEADER, "%s,%s,%d,%d\n", votes)
 
 
 def read_truth_csv(path, item_count: int) -> frozenset[int]:
@@ -417,4 +429,4 @@ def read_truth_csv(path, item_count: int) -> frozenset[int]:
 
 def write_truth_csv(dirty: Iterable[int], path) -> None:
     """Write the item ids, sorted, one a line to path, or to stdout for "-"."""
-    _write_rows(path, ([item] for item in sorted(dirty)))
+    _write_table(path, (), "%d\n", zip(sorted(dirty)))

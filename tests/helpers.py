@@ -9,6 +9,7 @@ check.
 from collections import Counter
 import csv
 from dataclasses import fields
+import io
 import math
 import warnings
 
@@ -265,6 +266,24 @@ def task_blocks(task_ids):
 
 
 VOTES_HEADER = ["task_id", "worker_id", "item_id", "label"]
+
+
+def fmt(value) -> str:
+    """The reference CLI cell: 9 significant digits for a float, '' for None and NaN."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return f"{value:.9g}"
+    return str(value)
+
+
+def write_rows_oracle(rows) -> str:
+    """The reference CLI table text: csv.writer over one fmt call per cell, LF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([fmt(cell) for cell in row] for row in rows)
+    return buf.getvalue()
 
 
 def _oracle_id(text, what, line):

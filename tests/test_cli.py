@@ -1,6 +1,8 @@
 from contextlib import redirect_stderr
 import csv
+from dataclasses import replace
 import io
+from itertools import combinations
 import json
 from pathlib import Path
 import re
@@ -13,8 +15,30 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from errest import cli
-from errest.cli import _fmt_column, fmt, main
+from errest import cli, core
+from errest.cli import _fmt_column, main
+from errest.core import MalformedInputError, VoteLog, read_votes_csv, write_votes_csv
+from errest.pairs import iter_scored_pairs, normalize_fields, read_records_csv
+from errest.priority import stratum_rule
+from errest.sim import GroundTruth, load_scenario, simulate
+from errest.trajectory import DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, ESTIMATE_COLUMNS
+from helpers import (
+    VOTES_HEADER,
+    edit_distance_oracle,
+    fmt,
+    nan_aggregate_oracle,
+    parse_votes_oracle,
+    permute_tasks_oracle,
+    plain_votes_csv_texts,
+    pooled_vote_logs,
+    read_records_oracle,
+    records_csv_texts,
+    trajectory_oracle,
+    vote_ids,
+    vote_logs,
+    votes_csv_texts,
+    write_rows_oracle,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -513,15 +537,223 @@ class TestSimulate:
                 assert sim_cell == est_row[name]
 
 
+INT64 = np.iinfo(np.int64)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-310, 1e16]),
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+              st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-310,
+                               1e16])),
+    st.one_of(st.integers(INT64.min, INT64.max), st.sampled_from([INT64.min, INT64.max, 0, -1])),
 ), max_size=30))
-@example([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 123456789.5])
-def test_column_cells_equal_fmt_per_cell(values):
-    column = np.array(values, dtype=float)
-    assert _fmt_column(column) == list(map(fmt, column))
+@example([(float("nan"), INT64.min), (float("inf"), INT64.max), (-float("inf"), 0), (-0.0, -1),
+          (0.0, 1), (5e-324, 2), (1e-310, 3), (1e16, 4), (123456789.5, 5)])
+@example([])  # a table of no rows is its header line
+def test_column_cells_equal_fmt_per_cell(cells):
+    # a float column formatted by _fmt_column and written by %s, an int column by %d: each
+    # cell as fmt writes it, and the table as the row-by-row csv.writer writes it
+    floats, ints = (list(column) for column in zip(*cells)) if cells else ([], [])
+    assert list(_fmt_column(floats)) == list(map(fmt, floats))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "table.csv")
+        core._write_table(path, ["x", "i"], "%s,%d\n", zip(_fmt_column(floats), ints))
+        assert path.read_bytes() == write_rows_oracle([["x", "i"], *zip(floats, ints)]).encode()
+
+
+def test_table_over_several_blocks(tmp_path):
+    # rows go out in blocks of 4,096: the seams add or drop nothing
+    rng = np.random.default_rng(7)
+    ints, floats = rng.integers(-10**12, 10**12, 10_000).tolist(), rng.normal(size=10_000)
+    floats[::7] = np.nan
+    path = tmp_path / "table.csv"
+    core._write_table(path, (), "%d,%s\n", zip(ints, _fmt_column(floats.tolist())))
+    assert path.read_bytes() == write_rows_oracle(zip(ints, floats.tolist())).encode()
+
+
+def test_zero_task_scenario_writes_header_only(tmp_path):
+    scenario = scenario_file(tmp_path, n_tasks=0)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(scenario), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"task_index,estimator,mean,std,truth\n"
+
+
+# Ids that csv.writer must quote, and non-ASCII ones, none with edge whitespace,
+# which the readers strip.
+ODD_IDS = ["a,b", 'say "hi"', "a\nb", "a\r\nb", '"', ",", "caf\u00e9", "\u6771\u4eac",
+           "\U0001f600", "plain"]
+
+
+def odd_id_outputs(tmp_path, ids):
+    """A vote log and a records file over ids: the log, its export, and the pairs table."""
+    n = len(ids)
+    workers = [ids[3 * k % n] for k in range(n)]
+    log = VoteLog.from_ids(list(range(n)), [k % 2 == 0 for k in range(n)], workers, ids, n)
+    votes, records, out = tmp_path / "votes.csv", tmp_path / "records.csv", tmp_path / "out.csv"
+    write_votes_csv(log, votes)
+    with open(records, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\r\n").writerows([["record_id", "name"], *zip(ids, ids)])
+    assert main(["pairs", str(records), "--alpha", "0.2", "--beta", "0.8", "--out", str(out)]) == 0
+    return log, votes, records, out
+
+
+def test_odd_ids_quoted_as_csv_writer_quotes_them(tmp_path):
+    log, votes, records, out = odd_id_outputs(tmp_path, ODD_IDS)
+    workers, tasks = vote_ids(log)
+    rows = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
+    assert votes.read_bytes() == write_rows_oracle([VOTES_HEADER, *rows]).encode()
+    stratum = stratum_rule(0.2, 0.8)
+    rows = [(pair.left_id, pair.right_id, pair.similarity, stratum(pair.similarity))
+            for pair in iter_scored_pairs(read_records_csv(records))]
+    assert len(rows) == len(ODD_IDS) * (len(ODD_IDS) - 1) // 2
+    assert out.read_bytes() == write_rows_oracle([cli.PAIRS_HEADER, *rows]).encode()
+    back = read_votes_csv(votes, log.item_count)
+    assert (back.item_ids.tolist(), back.dirty.tolist()) == (log.item_ids.tolist(),
+                                                             log.dirty.tolist())
+    assert vote_ids(back) == vote_ids(log)
+
+
+def test_lone_cr_in_id_quoted(tmp_path):
+    # csv.writer under an LF terminator leaves a lone CR bare on Python 3.11, and a
+    # reader then splits the row there; every CR and LF is quoted instead
+    ids = ["a\rb", "c\rd\re", "plain"]
+    log, votes, _, out = odd_id_outputs(tmp_path, ids)
+    assert votes.read_bytes().count(b'"') == 2 * 5 and out.read_bytes().count(b'"') == 2 * 4
+    back = read_votes_csv(votes, log.item_count)
+    assert vote_ids(back) == vote_ids(log)
+    assert [(row["left_id"], row["right_id"]) for row in read_rows(out)] == [
+        ("a\rb", "c\rd\re"), ("a\rb", "plain"), ("c\rd\re", "plain")]
+
+
+def expected_trajectory_csv(votes, n_items, truth):
+    """The estimate table by the oracles: parse, replay from scratch, write row by row;
+    None where the file or the log breaks the contract."""
+    try:
+        items, dirty, workers, tasks, _ = parse_votes_oracle(votes)
+        log = VoteLog.from_ids(items, dirty, workers, tasks, n_items)
+    except MalformedInputError:
+        return None
+    traj = trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
+    columns = [getattr(traj, name) for name in cli.TRAJECTORY_HEADER[:-1]]
+    return write_rows_oracle([cli.TRAJECTORY_HEADER, *zip(*columns, map(";".join, traj.flags))])
+
+
+def log_csv_text(log):
+    """A well-formed log as votes CSV text, written row by row."""
+    workers, tasks = vote_ids(log)
+    rows = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
+    return write_rows_oracle([VOTES_HEADER, *rows])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(votes_csv_texts(), plain_votes_csv_texts(),
+                 st.one_of(vote_logs(), pooled_vote_logs()).map(log_csv_text)),
+       st.none() | st.frozensets(st.integers(0, 7)))
+def test_estimate_bytes_equal_oracle(text, truth_ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        votes, truth_path, out = (Path(tmp, name) for name in ("votes.csv", "truth.csv", "out"))
+        votes.write_bytes(text.encode("utf-8"))
+        argv = ["estimate", str(votes), "--n-items", "8", "--out", str(out)]
+        truth = None
+        if truth_ids is not None:
+            truth_path.write_text("".join(f"{item}\n" for item in truth_ids))
+            argv += ["--truth", str(truth_path)]
+            truth = GroundTruth(truth_ids, 8)
+        expected = expected_trajectory_csv(votes, 8, truth)
+        with redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code == (2 if expected is None else 0)
+        if expected is not None:
+            assert out.read_bytes() == expected.encode()
+
+
+@st.composite
+def small_scenarios(draw):
+    n_items = draw(st.integers(1, 10))
+    rates = st.sampled_from([0.0, 0.1, 0.3])
+    return dict(n_items=n_items, n_dirty=draw(st.integers(0, n_items)),
+                task_size=draw(st.integers(1, 4)), n_tasks=draw(st.integers(0, 6)),
+                fp_rate=draw(rates), fn_rate=draw(rates), seed=draw(st.integers(0, 5)),
+                prioritize=draw(st.booleans()), epsilon=draw(st.sampled_from([0.0, 0.1, 1.0])),
+                heuristic_error=draw(rates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scenarios(), st.integers(1, 3))
+def test_simulate_bytes_equal_oracle(scenario, permutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "scenario.json")
+        path.write_text(json.dumps(scenario))
+        outs = [Path(tmp, name) for name in ("out.csv", "votes.csv", "truth.csv")]
+        argv = ["simulate", str(path), "--permutations", str(permutations)]
+        for flag, out in zip(("--out", "--votes-out", "--truth-out"), outs):
+            argv += [flag, str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an exhausted stratum
+            assert main(argv) == 0
+            sc = replace(load_scenario(path), permutations=permutations)
+            log, truth = simulate(sc)
+        written = [out.read_bytes() for out in outs]
+
+    workers, tasks = vote_ids(log)
+    votes = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
+    # The identity order first, then one permutation draw per further order.
+    rng, n_tasks, runs = np.random.default_rng(sc.seed), log.task_count, []
+    for r in range(permutations):
+        permuted = log if r == 0 else permute_tasks_oracle(log, rng.permutation(n_tasks))
+        traj = trajectory_oracle(permuted, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
+        columns = [*ESTIMATE_COLUMNS, "truth_xi_pos", "truth_xi_neg"]
+        runs.append(np.array([getattr(traj, name) for name in columns], dtype=float).T)
+    mean, std = (a.tolist() for a in nan_aggregate_oracle(np.stack(runs)))
+    summary = [cli.SUMMARY_HEADER]
+    for k in range(n_tasks):
+        for j, name in enumerate(ESTIMATE_COLUMNS):  # xi_pos and xi_neg against their truth
+            truth_cell = mean[k][j + 2] if name.startswith("xi_") else sc.n_dirty
+            summary.append((k, name, mean[k][j], std[k][j], truth_cell))
+    assert written == [write_rows_oracle(summary).encode(),
+                       write_rows_oracle([VOTES_HEADER, *votes]).encode(),
+                       write_rows_oracle([item] for item in sorted(truth.dirty_set)).encode()]
+
+
+@st.composite
+def unique_records_texts(draw):
+    """Records CSV text with unique ids, some of which csv must quote, written by csv.writer."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "r1", "r10", "x,y", 'q"t', "m\nn", "\u00e9"]),
+                        unique=True, max_size=6))
+    cell = st.sampled_from(["x", "", " y ", "p\nq", "r, s", 'r"s', "Ann Lee", "ann  lee", "Bo"])
+    width = draw(st.integers(1, 3))
+    buf = io.StringIO()
+    rows = [(rid, *draw(st.lists(cell, min_size=width, max_size=width))) for rid in ids]
+    csv.writer(buf).writerows([["record_id", *["f"] * width], *rows])
+    return buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(records_csv_texts() | unique_records_texts(),
+       st.sampled_from([(0.0, 1.0), (0.5, 0.5), (0.2, 0.8), (0.0, 0.0), (1.0, 1.0)]))
+def test_pairs_bytes_equal_oracle(text, band):
+    alpha, beta = band
+    with tempfile.TemporaryDirectory() as tmp:
+        records, out = Path(tmp, "records.csv"), Path(tmp, "out.csv")
+        records.write_bytes(text.encode("utf-8"))
+        try:
+            table = read_records_oracle(records)
+        except MalformedInputError:
+            table = None
+        with redirect_stderr(io.StringIO()):
+            code = main(["pairs", str(records), "--alpha", str(alpha), "--beta", str(beta),
+                         "--out", str(out)])
+        assert code == (2 if table is None else 0)
+        if table is None:
+            return
+        rows = [cli.PAIRS_HEADER]
+        for (left, a), (right, b) in combinations(sorted(zip(table.ids, table.fields)), 2):
+            na, nb = normalize_fields(a), normalize_fields(b)
+            longest = max(len(na), len(nb))
+            score = 1.0 - edit_distance_oracle(na, nb) / longest if longest else 1.0
+            rows.append((left, right, score, "auto_dirty" if score > beta else
+                         "auto_clean" if score < alpha else "ambiguous"))
+        assert out.read_bytes() == write_rows_oracle(rows).encode()
 
 
 class TestPairs:

@@ -23,6 +23,7 @@ from errest.core import (
     write_truth_csv,
     write_votes_csv,
 )
+from errest.sim import SimScenario, simulate
 
 from helpers import (
     C,
@@ -420,10 +421,14 @@ class TestCsv:
         assert peak <= core._WIDTH_BUDGET * path.stat().st_size
 
     def test_plain_files_skip_row_scan(self, tmp_path, monkeypatch):
-        # the fixture and a write_votes_csv export are read by numpy's C reader alone
-        export = tmp_path / "votes.csv"
+        # the fixture and write_votes_csv exports, one of a simulated log, are read by
+        # numpy's C reader alone
+        export, simulated = tmp_path / "votes.csv", tmp_path / "simulated.csv"
         write_votes_csv(make_log([[(0, D), (3, C)], [(3, D)], [(9, C)]], item_count=10), export)
-        paths = (DATA / "fixture_votes.csv", export)
+        scenario = SimScenario(n_items=10, n_dirty=3, task_size=4, n_tasks=6, fp_rate=0.1,
+                               fn_rate=0.1, permutations=1, seed=2)
+        write_votes_csv(simulate(scenario)[0], simulated)
+        paths = (DATA / "fixture_votes.csv", export, simulated)
         expected = [read_votes_csv(path, 10) for path in paths]
 
         def row_scan(text):
