@@ -43,7 +43,7 @@ from .priority import (
     partition,
     total_with_perfect_heuristic,
 )
-from .pairs import CandidatePair, RecordTable, similarity
+from .pairs import RecordTable, similarity
 from .sim import (
     GroundTruth,
     SimScenario,

@@ -38,8 +38,8 @@ PAIRS_HEADER = ["left_id", "right_id", "similarity", "stratum"]
 
 
 def _fmt_column(values):
-    """Yield each float at 9 significant digits, NaN and None as '', as the writer reads it."""
-    return ("" if v is None or v != v else f"{v:.9g}" for v in values)
+    """Yield each float at 9 significant digits, NaN as '', as the writer reads it."""
+    return ("" if v != v else f"{v:.9g}" for v in values)
 
 
 def run_estimate(
@@ -56,9 +56,9 @@ def run_estimate(
     if truth_csv is not None:
         truth = GroundTruth(read_truth_csv(truth_csv, n_items), n_items)
     traj = evaluate_trajectory(log, shift=shift, trend_window=trend_window, truth=truth)
-    floats = [_fmt_column(getattr(traj, name)) for name in TRAJECTORY_HEADER[3:-2]]
-    rows = zip(traj.task_index, traj.nominal, traj.majority, *floats,
-               [""] * len(traj) if truth is None else traj.truth, map(";".join, traj.flags))
+    columns = [getattr(traj, name).tolist() for name in TRAJECTORY_HEADER[:-2]]
+    rows = zip(*columns[:3], *map(_fmt_column, columns[3:]),
+               [""] * len(traj) if truth is None else traj.truth.tolist(), traj.flags)
     _write_table(out, TRAJECTORY_HEADER, "%d,%d,%d,%s,%s,%s,%s,%s,%s,%s,%s\n", rows)
 
 
@@ -98,7 +98,7 @@ def run_simulate(
 
     def trajectory_matrix(permuted):
         traj = evaluate_trajectory(permuted, shift=shift, trend_window=trend_window, truth=truth)
-        return np.array([getattr(traj, name) for name in columns], dtype=float).T  # None -> NaN
+        return np.column_stack([getattr(traj, name) for name in columns])
 
     averaged = permute_and_average(log, sc.permutations, trajectory_matrix, seed=sc.seed)
 
@@ -117,8 +117,8 @@ def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
     stratum = stratum_rule(alpha, beta)
     table = read_records_csv(records_csv)
     quoted = dict(zip(table.ids, _csv_quoted(table.ids)))
-    rows = ((quoted[pair.left_id], quoted[pair.right_id], pair.similarity, stratum(pair.similarity))
-            for pair in iter_scored_pairs(table))
+    rows = ((quoted[left], quoted[right], score, stratum(score))
+            for left, right, score in iter_scored_pairs(table))
     _write_table(out, PAIRS_HEADER, "%s,%s,%.9g,%s\n", rows)
 
 

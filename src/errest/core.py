@@ -397,6 +397,9 @@ def _csv_quoted(names: Sequence[str]) -> list[str]:
 
 def write_votes_csv(log: VoteLog, path) -> None:
     """Write the log as a plain votes CSV to path, or to stdout for "-"."""
+    for kind, names in (("task_id", log.task_names), ("worker_id", log.worker_names)):
+        if padded := [name for name in names if name != name.strip()]:  # would not read back
+            raise ValueError(f"{kind} {padded[0]!r} has edge whitespace, which readers strip")
     tasks = map(_csv_quoted(log.task_names).__getitem__, log.task_codes.tolist())
     workers = map(_csv_quoted(log.worker_names).__getitem__, log.worker_codes.tolist())
     votes = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())

@@ -15,7 +15,6 @@ from .core import MalformedInputError, _csv_cells, _read_text
 
 __all__ = [
     "RecordTable",
-    "CandidatePair",
     "read_records_csv",
     "iter_scored_pairs",
     "normalize_fields",
@@ -42,19 +41,6 @@ class RecordTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """An unordered record pair in canonical (left_id < right_id) form."""
-
-    left_id: str
-    right_id: str
-    similarity: float
-
-    def __post_init__(self):
-        if self.left_id >= self.right_id:
-            raise ValueError("pairs must be canonical: left_id < right_id")
 
 
 def read_records_csv(path) -> RecordTable:
@@ -140,8 +126,9 @@ def similarity(a: Sequence[str], b: Sequence[str]) -> float:
     return 1.0 - edit_distance(na, nb) / longest
 
 
-def iter_scored_pairs(t: RecordTable) -> Iterator[CandidatePair]:
-    """Stream scored candidate pairs in canonical (left_id, right_id) order."""
-    # Ids are unique, so the sort never compares fields.
+def iter_scored_pairs(t: RecordTable) -> Iterator[tuple[str, str, float]]:
+    """Stream (left_id, right_id, similarity) tuples in canonical order, left_id < right_id."""
+    # Ids are unique, so the sort never compares fields, and combinations keeps the
+    # sorted order within each pair.
     for (left, a), (right, b) in combinations(sorted(zip(t.ids, t.fields)), 2):
-        yield CandidatePair(left, right, similarity(a, b))
+        yield left, right, similarity(a, b)

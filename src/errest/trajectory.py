@@ -34,32 +34,39 @@ ESTIMATE_COLUMNS = (
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Every estimator after each completed task: one list per column.
+    """Every estimator after each completed task: one numpy array per column.
 
-    Entry k of each list belongs to the prefix that ends with task k.
-    None marks an estimate that is undefined at that prefix (the CSV
-    shows a gap); flags holds degeneracy markers of the form
-    "column:marker". truth and truth_xi_* are filled only when ground
-    truth is available (simulation runs).
+    Entry k of a column belongs to the prefix that ends with task k. Counts are
+    int64; estimates and coverage_hat are float64, NaN where undefined (a CSV gap).
+    flags holds object CSV cells: each prefix's degeneracy markers, "column:marker",
+    joined by ";". truth and truth_xi_* are None unless ground truth is given.
     """
 
-    task_index: list[int]
-    nominal: list[int]
-    majority: list[int]
-    chao92_total: list[float]
-    vchao92_total: list[float | None]
-    switch_total: list[float]
-    xi_pos: list[float]
-    xi_neg: list[float]
-    coverage_hat: list[float]
-    truth: list[int | None]
-    flags: list[tuple[str, ...]]
-    truth_xi_pos: list[int | None]
-    truth_xi_neg: list[int | None]
+    task_index: np.ndarray
+    nominal: np.ndarray
+    majority: np.ndarray
+    chao92_total: np.ndarray
+    vchao92_total: np.ndarray
+    switch_total: np.ndarray
+    xi_pos: np.ndarray
+    xi_neg: np.ndarray
+    coverage_hat: np.ndarray
+    truth: np.ndarray | None
+    flags: np.ndarray
+    truth_xi_pos: np.ndarray | None
+    truth_xi_neg: np.ndarray | None
 
     def __len__(self) -> int:
         # The prefix count; the benchmark's trajectory.prefixes count reads it.
         return len(self.task_index)
+
+    def __eq__(self, other):
+        """Exact: each column has the same shape, dtype and values, and NaN equals only NaN."""
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return all(a is b if a is None or b is None else a.dtype == b.dtype
+                   and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+                   for a, b in zip(vars(self).values(), vars(other).values()))
 
 
 def evaluate_trajectory(
@@ -119,20 +126,22 @@ def evaluate_trajectory(
     lag = np.concatenate([np.zeros(trend_window, m.dtype), m])[:n_tasks]  # 0 before the log
     total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, np.sign(m - lag), n)
 
-    def marks(column, est):
-        return np.where(est.coverage_hat == 0.0, f"{column}:{LOW_COVERAGE}", "").tolist()
-
-    vchao_marks = np.where(insufficient, "vchao92_total:insufficient-data",
-                           marks("vchao92_total", vchao)).tolist()
-    flags = [tuple(filter(None, row)) for row in zip(
-        marks("chao92_total", chao), vchao_marks, marks("xi_pos", xi_pos), marks("xi_neg", xi_neg))]
-    vchao_total = np.where(insufficient, None, vchao.total_errors_hat).tolist()
-    truth_columns = [[None] * n_tasks for _ in range(3)]
+    # Each prefix's markers as the bits of one code; each code's cell is joined once.
+    markers = {
+        f"chao92_total:{LOW_COVERAGE}": chao.coverage_hat == 0.0,
+        "vchao92_total:insufficient-data": insufficient,
+        f"vchao92_total:{LOW_COVERAGE}": ~insufficient & (vchao.coverage_hat == 0.0),
+        f"xi_pos:{LOW_COVERAGE}": xi_pos.coverage_hat == 0.0,
+        f"xi_neg:{LOW_COVERAGE}": xi_neg.coverage_hat == 0.0,
+    }
+    code = sum(present.astype(np.intp) << bit for bit, present in enumerate(markers.values()))
+    cells = np.array([";".join(name for bit, name in enumerate(markers) if k >> bit & 1)
+                      for k in range(1 << len(markers))], dtype=object)
+    truth_columns = [None] * 3
     if truth is not None:
-        dirty_count = len(truth.dirty_set)
-        truth_columns = [[dirty_count] * n_tasks, (dirty_count - totals[7]).tolist(),
-                         totals[8].tolist()]
-    return Trajectory(list(range(n_tasks)), c.tolist(), m.tolist(),
-                      chao.total_errors_hat.tolist(), vchao_total, total.tolist(),
-                      xi_pos.remaining_hat.tolist(), xi_neg.remaining_hat.tolist(),
-                      chao.coverage_hat.tolist(), truth_columns[0], flags, *truth_columns[1:])
+        dirty_count = np.full(n_tasks, len(truth.dirty_set), np.int64)
+        truth_columns = [dirty_count, dirty_count - totals[7], totals[8]]
+    return Trajectory(np.arange(n_tasks, dtype=np.int64), c, m, chao.total_errors_hat,
+                      np.where(insufficient, np.nan, vchao.total_errors_hat), total,
+                      xi_pos.remaining_hat, xi_neg.remaining_hat, chao.coverage_hat,
+                      truth_columns[0], cells[code], *truth_columns[1:])

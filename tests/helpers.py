@@ -672,8 +672,9 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
 
     Tallies span the logged items alone, renumbered 0, 1, ... in id order, so a
     universe near 2**63 needs no array of its size; the estimators still get the
-    whole universe. Truth switches are counted against the planted set; None and
-    flags follow evaluate_trajectory's conventions.
+    whole universe. Truth switches are counted against the planted set. The rows are
+    cast to the typed columns of evaluate_trajectory: NaN for an undefined estimate,
+    one joined flags cell per prefix, and no truth columns without truth.
     """
     n = log.item_count
     logged, dense = np.unique(log.item_ids, return_inverse=True)
@@ -692,7 +693,7 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
             vest = vchao92(f, m, shift=shift, universe=n)
             vchao_total, vchao_flags = vest.total_errors_hat, low_coverage(vest)
         except InsufficientDataError:
-            vchao_total, vchao_flags = None, ("insufficient-data",)
+            vchao_total, vchao_flags = math.nan, ("insufficient-data",)
         xi_pos = d_switch(switch_fstats(stats, Direction.POSITIVE), n)
         xi_neg = d_switch(switch_fstats(stats, Direction.NEGATIVE), n)
         trend = trend_from_history(history, trend_window)
@@ -710,11 +711,14 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
         row = (
             task_index, nominal(t), m, chao.total_errors_hat, vchao_total, total,
             xi_pos.remaining_hat, xi_neg.remaining_hat, chao.coverage_hat, truth_count,
-            tuple(flags), truth_xi_pos, truth_xi_neg,
+            ";".join(flags), truth_xi_pos, truth_xi_neg,
         )
         for column, value in zip(columns, row):
             column.append(value)
-    return Trajectory(*columns)
+    dtypes = [np.int64] * 3 + [np.float64] * 6 + [np.int64, object, np.int64, np.int64]
+    no_truth = {9, 11, 12} if truth is None else set()  # truth, truth_xi_pos, truth_xi_neg
+    return Trajectory(*(None if k in no_truth else np.array(column, dtype)
+                        for k, (column, dtype) in enumerate(zip(columns, dtypes))))
 
 
 def edit_distance_oracle(a, b):

@@ -140,7 +140,7 @@ def test_criterion_5_mixed_error_minimum():
         traj = evaluate_trajectory(log, truth=truth)
         finals["chao92"].append(traj.chao92_total[-1])
         finals["switch"].append(traj.switch_total[-1])
-        if traj.vchao92_total[-1] is not None:
+        if not np.isnan(traj.vchao92_total[-1]):
             finals["vchao92"].append(traj.vchao92_total[-1])
     scores = {name: srmse(vals, 100.0) for name, vals in finals.items()}
     ok = scores["switch"] == min(scores.values())

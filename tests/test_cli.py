@@ -603,8 +603,8 @@ def test_odd_ids_quoted_as_csv_writer_quotes_them(tmp_path):
     rows = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
     assert votes.read_bytes() == write_rows_oracle([VOTES_HEADER, *rows]).encode()
     stratum = stratum_rule(0.2, 0.8)
-    rows = [(pair.left_id, pair.right_id, pair.similarity, stratum(pair.similarity))
-            for pair in iter_scored_pairs(read_records_csv(records))]
+    rows = [(left, right, score, stratum(score))
+            for left, right, score in iter_scored_pairs(read_records_csv(records))]
     assert len(rows) == len(ODD_IDS) * (len(ODD_IDS) - 1) // 2
     assert out.read_bytes() == write_rows_oracle([cli.PAIRS_HEADER, *rows]).encode()
     back = read_votes_csv(votes, log.item_count)
@@ -634,8 +634,9 @@ def expected_trajectory_csv(votes, n_items, truth):
     except MalformedInputError:
         return None
     traj = trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
-    columns = [getattr(traj, name) for name in cli.TRAJECTORY_HEADER[:-1]]
-    return write_rows_oracle([cli.TRAJECTORY_HEADER, *zip(*columns, map(";".join, traj.flags))])
+    columns = [getattr(traj, name) for name in cli.TRAJECTORY_HEADER[:-2]]
+    truth_cells = [None] * len(traj) if traj.truth is None else traj.truth
+    return write_rows_oracle([cli.TRAJECTORY_HEADER, *zip(*columns, truth_cells, traj.flags)])
 
 
 def log_csv_text(log):

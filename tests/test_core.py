@@ -28,6 +28,7 @@ from errest.sim import SimScenario, simulate
 from helpers import (
     C,
     D,
+    VOTES_HEADER,
     assert_first_appearance_codes,
     broken_columns,
     brute_force_tally,
@@ -47,6 +48,7 @@ from helpers import (
     vote_ids,
     vote_logs,
     votes_csv_texts,
+    write_rows_oracle,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -333,6 +335,22 @@ class TestCsv:
         write_votes_csv(log, path)
         back = read_votes_csv(path, item_count=5)
         assert_same_columns(back, log)
+
+    def test_edge_whitespace_id_rejected_before_writing(self, tmp_path):
+        # the votes readers strip every cell, so " w" would read back as "w", one worker
+        path = tmp_path / "votes.csv"
+        workers = VoteLog.from_ids([0, 1], [True, False], [" w", "w"], ["t", "t"], 2)
+        tasks = VoteLog.from_ids([0, 1], [True, False], ["w", "v"], ["t", "t\t"], 2)
+        for log, name in ((workers, "worker_id ' w'"), (tasks, "task_id 't\\t'")):
+            with pytest.raises(ValueError, match=re.escape(name)):
+                write_votes_csv(log, path)
+            assert not path.exists()
+        log, _ = simulate(SimScenario(n_items=30, n_dirty=6, task_size=4, n_tasks=12,
+                                      fp_rate=0.1, fn_rate=0.1, seed=2))
+        write_votes_csv(log, path)
+        worker_ids, task_ids = vote_ids(log)
+        rows = zip(task_ids, worker_ids, log.item_ids.tolist(), log.dirty.astype(int).tolist())
+        assert path.read_bytes() == write_rows_oracle([VOTES_HEADER, *rows]).encode()
 
     @settings(max_examples=100, deadline=None)
     @given(vote_logs())

@@ -37,7 +37,7 @@ def pairs_in(t, alpha, beta, stratum):
     """Ids of the scored pairs that the [alpha, beta] rule puts in `stratum`."""
     rule = stratum_rule(alpha, beta)
     pairs = iter_scored_pairs(t)
-    return {(p.left_id, p.right_id) for p in pairs if rule(p.similarity) == stratum}
+    return {(left, right) for left, right, score in pairs if rule(score) == stratum}
 
 
 class TestSimilarity:
@@ -140,9 +140,9 @@ class TestCanonicalization:
     def test_each_unordered_pair_once_sorted(self):
         t = table_of(("b", ("x",)), ("a", ("y",)), ("c", ("z",)))
         pairs = list(iter_scored_pairs(t))
-        keys = [(p.left_id, p.right_id) for p in pairs]
+        keys = [(left, right) for left, right, _ in pairs]
         assert keys == [("a", "b"), ("a", "c"), ("b", "c")]
-        assert all(p.left_id < p.right_id for p in pairs)
+        assert all(left < right for left, right, _ in pairs)
 
     def test_pair_count_matches(self):
         t = table_of(*((f"r{i}", (str(i),)) for i in range(7)))
@@ -161,9 +161,9 @@ class TestCandidates:
 
     def test_identical_records_auto_dirty(self):
         t = table_of(("a", ("same", "thing")), ("b", ("same", "thing")))
-        (pair,) = iter_scored_pairs(t)
-        assert pair.similarity == 1.0
-        assert stratum_rule(0.5, 0.9)(pair.similarity) == "auto_dirty"
+        ((_, _, score),) = iter_scored_pairs(t)
+        assert score == 1.0
+        assert stratum_rule(0.5, 0.9)(score) == "auto_dirty"
 
 
 class TestStreaming:

@@ -177,7 +177,7 @@ class TestPermuteAndAverage:
     def test_r1_equals_single_run(self):
         log, _ = simulate(small_scenario())
         out = permute_and_average(log, 1, self.nominal_trajectory, seed=3)
-        assert out.mean.tolist() == self.nominal_trajectory(log)
+        assert out.mean.tolist() == self.nominal_trajectory(log).tolist()
         assert (out.std == 0).all()
 
     def test_final_point_invariant_for_order_free_estimators(self):
@@ -269,7 +269,8 @@ class TestPermuteAndAverage:
             traj = evaluate_trajectory(votes)
             return [getattr(traj, c)[-1:] for c in columns]
 
-        assert final(permute_tasks(log, order)) == final(log)
+        for got, want in zip(final(permute_tasks(log, order)), final(log), strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
 
     def test_full_log_statistics_order_free(self):
         log, _ = simulate(small_scenario(n_tasks=8))
@@ -318,7 +319,7 @@ class TestScenarioOrderings:
             log, truth = simulate(replace(sc, seed=seed))
             traj = evaluate_trajectory(log, truth=truth)
             chao_finals.append(traj.chao92_total[-1])
-            if traj.vchao92_total[-1] is not None:
+            if not np.isnan(traj.vchao92_total[-1]):
                 vchao_finals.append(traj.vchao92_total[-1])
         assert srmse(chao_finals, 100.0) < srmse(vchao_finals, 100.0)
         assert abs(np.mean(chao_finals) - 100.0) <= 5.0

@@ -1,8 +1,12 @@
+from dataclasses import fields, replace
+
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from errest.sim import GroundTruth
-from errest.trajectory import DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, evaluate_trajectory
+from errest.trajectory import DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, Trajectory
+from errest.trajectory import evaluate_trajectory
 
 from helpers import D, make_log, trajectory_oracle, vote_logs
 
@@ -71,3 +75,50 @@ class TestIncrementalReplay:
             assert 0.0 <= coverage <= 1.0
             assert 0.0 <= switch <= n
             assert xi_pos >= 0.0 and xi_neg >= 0.0
+
+
+TRUTH_COLUMNS = ("truth", "truth_xi_pos", "truth_xi_neg")
+DTYPES = {"task_index": np.int64, "nominal": np.int64, "majority": np.int64,
+          "flags": object, **dict.fromkeys(TRUTH_COLUMNS, np.int64)}  # the rest are float64
+
+
+class TestTypedColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(vote_logs(), st.booleans())
+    def test_columns_typed_with_nan_gaps(self, log, with_truth):
+        truth = GroundTruth(frozenset(range(0, log.item_count, 3)), log.item_count)
+        truth = truth if with_truth else None
+        traj = evaluate_trajectory(log, truth=truth)
+        for field in fields(Trajectory):
+            column = getattr(traj, field.name)
+            if truth is None and field.name in TRUTH_COLUMNS:
+                assert column is None
+                continue
+            assert type(column) is np.ndarray and column.shape == (log.task_count,)
+            assert column.dtype == DTYPES.get(field.name, np.float64), field.name
+        assert all(type(cell) is str for cell in traj.flags)  # no None, no tuple
+        oracle = trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
+        insufficient = ["vchao92_total:insufficient-data" in cell.split(";")
+                        for cell in oracle.flags]
+        assert np.isnan(traj.vchao92_total).tolist() == insufficient
+
+    @settings(max_examples=100, deadline=None)
+    @given(vote_logs(), st.booleans())
+    def test_eq_exact_on_dtype_and_nan(self, log, with_truth):
+        truth = GroundTruth(frozenset({0}), log.item_count) if with_truth else None
+        traj = evaluate_trajectory(log, truth=truth)
+        copies = {name: column.copy() for name, column in vars(traj).items()
+                  if column is not None}
+        assert traj == replace(traj, **copies)
+        # the same values under another dtype
+        assert traj != replace(traj, nominal=traj.nominal.astype(np.float64))
+        assert traj != replace(traj, task_index=traj.task_index.astype(np.int32))
+        assert traj != replace(traj, flags=traj.flags.astype(str))
+        if truth is None:
+            assert traj != replace(traj, truth=np.zeros(len(traj), np.int64))
+        if len(traj):
+            gap = traj.switch_total.copy()
+            gap[-1] = np.nan
+            assert traj != replace(traj, switch_total=gap)  # NaN against a value
+            assert replace(traj, switch_total=gap) != traj
+            assert replace(traj, switch_total=gap) == replace(traj, switch_total=gap.copy())
