@@ -19,7 +19,6 @@ the number of consensus flips still expected.
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -60,8 +59,7 @@ class SwitchEvent(NamedTuple):
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SwitchStats:
+class SwitchStats(NamedTuple):
     """All switch events of a log prefix plus the adjusted sample size.
 
     f_pos and f_neg are the one-sided fingerprints: they map a
@@ -97,16 +95,17 @@ class SwitchReplay:
     The constructor decides every vote's role at once, in arrays: its item's
     running dirty/clean counts after it (vote_pos, vote_neg, in arrival
     order) and, held flat per active vote (a flip, or a later vote on its
-    item), the key of the event it flips or confirms (the grouped position of
-    the flip), that event's parity (the item's flip count mod 2, which is 1
-    for a positive event), its multiplicity before the vote and the
-    SwitchEvent after it. advance writes a block of events into a dict whose
-    insertion order is flip order and moves one class of a one-sided
-    fingerprint per vote, so a snapshot only copies state.
+    item), the ordinal of the event it flips or confirms (events are
+    numbered as their flips arrive), that event's parity (the item's flip
+    count mod 2, which is 1 for a positive event), its multiplicity before
+    the vote and the SwitchEvent after it. Per vote, advance appends a flip's
+    event to a list held in flip order or writes a confirmed event into its
+    slot, and moves one class of a one-sided fingerprint, so a snapshot only
+    copies state.
     """
 
     def __init__(self, log: VoteLog):
-        self._events: dict[int, SwitchEvent] = {}
+        self._events: list[SwitchEvent] = []
         # (negative, positive) fingerprints, indexed by parity, without zero counts.
         self._f: tuple[dict[int, int], dict[int, int]] = ({}, {})
         self._folded = self._done = 0  # the active votes folded in, and the votes replayed
@@ -126,20 +125,23 @@ class SwitchReplay:
         flip = (pos == neg) | ((here == first) & (dirty == 1))
         flips = running(flip.astype(np.int64))  # the item's flips so far, this vote's included
         self.vote_pos, self.vote_neg = pos[back], neg[back]
+        del first, dirty, pos, neg  # freed as soon as they are read, to lower the peak memory
         # Forward fill within an item: the grouped position of its latest flip.
         latest = np.maximum.accumulate(np.where(flip, here, 0))
         at = np.flatnonzero(flips[back])  # the active votes: a flip, or a vote after one
         grouped = back[at]
         self._parity = (flips[grouped] % 2).astype(np.uint8).tobytes()
-        self._old = (here - latest)[grouped].tolist()  # the event's multiplicity before the vote
+        old = (here - latest)[grouped]  # the event's multiplicity before the vote
+        self._old = old.tolist()
         # Positions pass 256, so they are held unboxed, not as one int object per vote.
-        self._at, self._keys = (array("q", x.astype(np.int64).tobytes())
-                                for x in (at, latest[grouped]))
+        # An event's ordinal counts the flips that arrived before its own.
+        self._at, self._ordinals = (array("q", x.astype(np.int64).tobytes()) for x in (
+            at, np.cumsum(flip[back])[order[latest[grouped]]] - 1))
         # Freed before the per-vote objects are made, which lowers the peak memory.
-        del order, back, here, first, dirty, pos, neg, flip, flips, latest, grouped
+        del order, back, here, flip, flips, latest, grouped
         self._built = list(map(tuple.__new__, repeat(SwitchEvent), zip(
             log.item_ids[at].tolist(), map(_DIRECTIONS.__getitem__, self._parity),
-            map((1).__add__, self._old))))
+            (old + 1).tolist())))
 
     def advance(self, end: int) -> None:
         """Fold in the votes [done, end), done being the previous end (0 at first)."""
@@ -148,17 +150,22 @@ class SwitchReplay:
         if end < self._done:
             raise ValueError(f"prefix end {end} is before the {self._done} votes replayed")
         block = slice(self._folded, bisect_left(self._at, end))
-        self._events.update(zip(self._keys[block], self._built[block]))
-        for parity, old in zip(self._parity[block], self._old[block]):
+        events = self._events
+        for parity, old, k, event in zip(self._parity[block], self._old[block],
+                                         self._ordinals[block], self._built[block]):
             freq = self._f[parity]
-            if old and (count := freq.pop(old) - 1):
-                freq[old] = count
+            if old:
+                events[k] = event
+                if count := freq.pop(old) - 1:
+                    freq[old] = count
+            else:  # a flip, whose ordinal is the count of events so far
+                events.append(event)
             freq[old + 1] = freq.get(old + 1, 0) + 1
         self._folded, self._done = block.stop, end
 
     def snapshot(self) -> SwitchStats:
         f_neg, f_pos = map(dict, self._f)
-        return SwitchStats(tuple(self._events.values()), f_pos, f_neg, n_switch=self._folded)
+        return SwitchStats(tuple(self._events), f_pos, f_neg, self._folded)
 
     def prefix_moments(self, ends) -> tuple[Moments, Moments]:
         """Advance to each prefix end in turn: the snapshots' positive and negative switch
@@ -168,8 +175,10 @@ class SwitchReplay:
             self.advance(end)
             stats = self.snapshot()
             for freq in (stats.f_pos, stats.f_neg):
-                rows.append((sum(freq.values()), freq.get(1, 0), stats.n_switch,
-                             sum(j * (j - 1) * fj for j, fj in freq.items())))
+                ssum = 0  # a plain loop: cheaper than a generator or map over these dicts
+                for j, fj in freq.items():
+                    ssum += j * (j - 1) * fj
+                rows.append((sum(freq.values()), freq.get(1, 0), stats.n_switch, ssum))
         columns = np.array(rows, dtype=np.int64).reshape(-1, 2, 4).T
         return Moments(*columns[:, 0]), Moments(*columns[:, 1])
 

@@ -622,6 +622,21 @@ def consensus_oracle(log, upto=None):
     )
 
 
+def switch_moments_oracle(log, ends):
+    """The positive and negative switch moments (c, f1, n, ssum) at each prefix end.
+
+    Counted from consensus_oracle's events: c events, f1 of them seen once, n the
+    adjusted vote count and ssum the sum of m(m-1) over the events' multiplicities m.
+    """
+    sides = ([], [])  # (positive, negative)
+    for end in ends:
+        events, _, n_switch = consensus_oracle(log, end)
+        for positive, rows in zip((True, False), sides):
+            mults = [m for _, p, m in events if p is positive]
+            rows.append((len(mults), mults.count(1), n_switch, sum(m * (m - 1) for m in mults)))
+    return sides
+
+
 def chao_form_oracle(c, f, skew, universe):
     """The coverage form c/C + f1*cv2/C in Python scalars, one branch at a time."""
 

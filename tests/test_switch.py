@@ -26,8 +26,10 @@ from helpers import (
     eq7_switch_count,
     event_labels,
     make_log,
+    pooled_vote_logs,
     random_log,
     single_item_log,
+    switch_moments_oracle,
     vote_logs,
 )
 
@@ -107,6 +109,11 @@ class TestReplayExamples:
                   SwitchEvent(1, Direction.POSITIVE, 1))
         stats = SwitchStats(events, {1: 1, 2: 1}, {1: 1}, 4)
         assert stats.c_switch == len(events) == 3
+
+    def test_stats_equal_plain_tuple_of_fields(self):
+        events = (SwitchEvent(0, Direction.POSITIVE, 1),)
+        stats = SwitchStats(events, {1: 1}, {}, 1)
+        assert stats == (events, {1: 1}, {}, 1)
 
 
 class TestSwitchCount:
@@ -195,7 +202,7 @@ class TestIncrementalFingerprints:
     """Fingerprints kept vote by vote equal a recount at every prefix."""
 
     @settings(max_examples=200, deadline=None)
-    @given(vote_logs())
+    @given(st.one_of(vote_logs(), pooled_vote_logs()))
     def test_snapshot_equals_recount_at_every_prefix(self, log):
         replay = SwitchReplay(log)
         for upto in range(len(log) + 1):
@@ -220,7 +227,7 @@ class TestIncrementalFingerprints:
             assert all(stats.f_pos.values()) and all(stats.f_neg.values())  # no zero count
 
     @settings(max_examples=200, deadline=None)
-    @given(vote_logs(), st.data())
+    @given(st.one_of(vote_logs(), pooled_vote_logs()), st.data())
     def test_blocks_of_any_size_equal_oracle(self, log, data):
         # a block may span tasks, and may hold several votes on one item
         ends = data.draw(st.lists(st.integers(0, len(log)), max_size=5).map(sorted))
@@ -235,6 +242,16 @@ class TestIncrementalFingerprints:
             assert stats.n_switch == n_switch
             expected = [labels.get(item, False) for item in range(log.item_count)]
             assert event_labels(stats, log.item_count) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(vote_logs(), pooled_vote_logs()), st.data())
+    def test_prefix_moments_equal_oracle(self, log, data):
+        # arbitrary sorted ends: a block may span tasks, and an end may repeat
+        ends = data.draw(st.lists(st.integers(0, len(log)), max_size=8).map(sorted))
+        moments = SwitchReplay(log).prefix_moments(iter(ends))
+        for side, expected in zip(moments, switch_moments_oracle(log, ends)):
+            assert all(column.dtype == np.int64 for column in side)
+            assert list(zip(*(column.tolist() for column in side))) == expected
 
 
 class TestConsensusLabels:
