@@ -89,7 +89,7 @@ def run_simulate(
     if votes_out is not None:
         write_votes_csv(log, votes_out)
     if truth_out is not None:
-        write_truth_csv(truth.dirty_set, truth_out)
+        write_truth_csv(truth.dirty_ids, truth_out)
 
     # The truth of an estimate is n_dirty, except for the last two, xi_pos and xi_neg,
     # whose truth is the switch count averaged with them.

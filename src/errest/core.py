@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,11 +86,11 @@ class VoteLog:
         for code, names in zip(codes, (self.worker_names, self.task_names)):
             if ((code < 0) | (code >= len(names))).any() or len(set(names)) < len(names):
                 raise ValueError("vote-log codes must index distinct names")
-        # Check the raw ids exactly before the int64 cast: an int past int64 may make numpy
-        # round all to float64. The other checks see only the votes before the first outside.
+        # Ids are int64: check the raw ids exactly before the cast (an int past int64 may make
+        # numpy round all to float64). Later checks see only the votes before the first outside.
         raw = np.asarray(self.item_ids)
         raw = raw if raw.dtype.kind in "iu" else np.asarray(self.item_ids, dtype=object)
-        outside = np.flatnonzero((raw < 0) | (raw >= self.item_count))
+        outside = np.flatnonzero((raw < 0) | (raw > min(self.item_count, 2**63) - 1))
         end = int(outside[0]) if len(outside) else len(raw)
         items = np.asarray(raw[:end], dtype=np.int64)
         workers, task_codes = codes[0][:end], codes[1][:end]
@@ -109,8 +109,7 @@ class VoteLog:
             message = f"task {task!r} is split into non-contiguous blocks"
             raise MalformedInputError(message, position=split)
         if end < len(raw):
-            message = f"item_id {self.item_ids[end]} outside universe [0, {self.item_count})"
-            raise MalformedInputError(message, position=end)
+            raise MalformedInputError(_outside("item_id", raw[end], self.item_count), position=end)
         bounds = starts.tolist() + [end]
         names = map(self.task_names.__getitem__, task_codes[starts].tolist())
         object.__setattr__(self, "tasks", tuple(zip(names, bounds, bounds[1:])))
@@ -125,6 +124,13 @@ class VoteLog:
     @property
     def task_count(self) -> int:
         return len(self.tasks)
+
+
+def _outside(what: str, item_id: int, item_count: int) -> str:
+    """The message for an id outside [0, item_count), or past int64 inside a larger universe."""
+    if item_count > int(item_id) >= 2**63:
+        return f"{what} {item_id} outside int64 range [0, 2**63)"
+    return f"{what} {item_id} outside universe [0, {item_count})"
 
 
 def _packable(keys: np.ndarray, scale: int) -> np.ndarray:
@@ -272,7 +278,7 @@ def _parse_id(text: str, what: str, line: int) -> int:
 
 _PLAIN_HEADER = ",".join(VOTES_CSV_HEADER) + "\n"
 # What csv.reader or str.strip reads specially: the quote, NUL, ASCII whitespace but LF.
-_NOT_PLAIN = bytes(b for b in range(128) if chr(b).isspace() and b != 10) + b'"\0'
+_NOT_PLAIN = "".join(chr(b) for b in range(128) if chr(b).isspace() and b != 10) + '"\0'
 # A plain read holds ids and labels as wide as the longest cell of their column. Past this
 # many bytes per file byte (one long id widens a whole column), about what the row scan's
 # str cells take on short ids, the row scan reads the file instead.
@@ -282,18 +288,18 @@ _WIDTH_BUDGET = 32
 def _plain_columns(text: str):
     """Parse a plain votes CSV in C; None for any other text, or one loadtxt rejects.
 
-    Plain text is ASCII with the exact header, LF line ends, no byte of _NOT_PLAIN and
+    Plain text is ASCII with the exact header, LF line ends, no character of _NOT_PLAIN,
     no line over the csv field limit: csv.reader plus strip would give the same cells.
     Ids and labels are read as bytes as wide as the longest cell of their column, which
     the separators give; returns the VoteLog columns, ids as codes and names, and each
     vote's line, as _vote_rows does.
     """
-    raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
-    if len(raw.translate(None, _NOT_PLAIN)) < len(text) or not text.startswith(_PLAIN_HEADER):
+    scans = map(text.__contains__, _NOT_PLAIN)  # one scan of text per character, no copy
+    if not (text.startswith(_PLAIN_HEADER) and text.isascii()) or any(scans):
         return None
-    byte = np.frombuffer(raw, np.uint8)
+    byte = np.frombuffer(text.encode("ascii"), np.uint8)
     breaks, commas = np.flatnonzero(byte == 10), np.flatnonzero(byte == 44)
-    starts, ends = np.append(0, breaks + 1), np.append(breaks, len(raw))  # of each line
+    starts, ends = np.append(0, breaks + 1), np.append(breaks, len(byte))  # of each line
     full = ends > starts  # the lines that are not blank, the header first
     rows = np.count_nonzero(full) - 1
     if ((ends - starts).max() > csv.field_size_limit() or not rows
@@ -305,22 +311,22 @@ def _plain_columns(text: str):
              ends[full][1:] - right - 1)
     widths = [max(int(cell.max()), 1) for cell in cells]  # per column
     lines = np.flatnonzero(full)[1:] + 1
-    if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(raw) or widths[2] > 18:
+    if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(byte) or widths[2] > 18:
         return None  # too wide, or an item_id over 18 digits, maybe past int64
-    inside = np.zeros(len(raw), bool)  # toggled at each item cell's first byte and its end
-    inside[middle + 1] ^= True
-    inside[right] ^= True  # an empty cell toggles its one byte back
-    del breaks, commas, starts, ends, full, left, middle, right, cells  # freed before parsing
-    items = byte[np.logical_xor.accumulate(inside, out=inside)]
-    if ((items < 48) | (items > 57)).any():
-        return None  # an item_id not all ASCII digits, which loadtxt may read via a float
-    del raw, byte, inside, items
+    first, last = middle + 1, right - 1  # of each item cell; an empty cell's last is its comma
+    del breaks, commas, starts, ends, full, left, middle, right, cells  # freed before the check
+    for _ in range(widths[2]):  # one gather per byte position: loadtxt may read "1.9" via a float
+        item_bytes = byte[np.minimum(first, last, out=first)]  # clamped, in place, to the last
+        if ((item_bytes < 48) | (item_bytes > 57)).any():
+            return None
+        first += 1
+    del byte, first, last, item_bytes  # freed before parsing: one left live raised the peak RSS
     kinds = [("task", f"S{widths[0]}"), ("worker", f"S{widths[1]}"), ("item", "i8"),
              ("label", f"S{widths[3]}")]
     try:
         votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=kinds, skiprows=1,
                            comments=None, quotechar=None, ndmin=1)
-    except ValueError:  # a ragged row, or an empty item_id
+    except ValueError:  # a ragged row
         return None
     dirty = votes["label"] == b"1"
     if not (dirty | (votes["label"] == b"0")).all():
@@ -366,7 +372,7 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     any other row by row; an error names its line either way.
     """
     text = _read_text(path)
-    columns, make = _plain_columns(text.replace("\r\n", "\n")), VoteLog
+    columns, make = _plain_columns(text.replace("\r\n", "\n") if "\r" in text else text), VoteLog
     if columns is None:
         columns, make = _vote_rows(text), VoteLog.from_ids
     *columns, lines = columns
@@ -406,30 +412,30 @@ def write_votes_csv(log: VoteLog, path) -> None:
     _write_table(path, VOTES_CSV_HEADER, "%s,%s,%d,%d\n", votes)
 
 
-def read_truth_csv(path, item_count: int) -> frozenset[int]:
-    """Load the true-dirty item set, one item_id per line; plain text is one array parse."""
-    text = _read_text(path).replace("\r\n", "\n").replace("\r", "\n")
+def read_truth_csv(path, item_count: int) -> np.ndarray:
+    """Load the true-dirty item ids, one a line, as a sorted int64 array without repeats."""
+    text = _read_text(path)
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
     raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
     if len(raw) == len(text) and not raw.translate(None, b"0123456789\n"):  # digits and LF alone
         breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
         widths = np.diff(breaks, prepend=-1, append=len(raw)) - 1  # of each line
         ids = np.count_nonzero(widths)  # fromstring reads a text without one as [0]
         if ids and widths.max() <= 18:  # so each id fits in int64
-            items = np.fromstring(raw, np.int64, sep="\n")
-            if len(items) == ids and int(items.max()) < item_count:
-                return frozenset(items.tolist())
+            items = np.sort(np.fromstring(raw, np.int64, sep="\n"))
+            if len(items) == ids and int(items[-1]) < item_count:
+                return items[np.diff(items, prepend=-1) > 0]  # np.unique hashes: slower
     items = set()  # any other text, line by line: the first bad line is named
     for line_no, line in enumerate(text.split("\n"), 1):  # splitlines also ends at \x0c
         entry = line.strip()
         if entry:
             item_id = _parse_id(entry, "truth entry", line_no)
-            if not 0 <= item_id < item_count:
-                message = f"truth item {item_id} outside universe [0, {item_count})"
-                raise MalformedInputError(message, line_no)
+            if not 0 <= item_id < min(item_count, 2**63):
+                raise MalformedInputError(_outside("truth item", item_id, item_count), line_no)
             items.add(item_id)
-    return frozenset(items)
+    return np.array(sorted(items), dtype=np.int64)
 
 
-def write_truth_csv(dirty: Iterable[int], path) -> None:
-    """Write the item ids, sorted, one a line to path, or to stdout for "-"."""
-    _write_table(path, (), "%d\n", zip(sorted(dirty)))
+def write_truth_csv(dirty, path) -> None:
+    """Write the item ids (int64 array-like), sorted, one a line to path, or to stdout for "-"."""
+    _write_table(path, (), "%d\n", zip(np.sort(np.asarray(dirty, np.int64)).tolist()))

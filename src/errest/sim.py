@@ -85,12 +85,19 @@ class SimScenario:
             raise ValueError(f"prioritize must be true or false, got {self.prioritize!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """The planted dirty set, with helpers for switch-distance bookkeeping."""
+    """The planted dirty items as increasing int64 ids, with switch-distance helpers."""
 
-    dirty_set: frozenset[int]
+    dirty_ids: np.ndarray
     n_items: int
+
+    def __post_init__(self):
+        ids = self.dirty_ids  # a frozenset or list would match nothing in np.isin
+        typed = isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1
+        if not typed or not (ids[1:] > ids[:-1]).all() or len(ids) and not (
+                0 <= ids[0] and int(ids[-1]) < self.n_items):
+            raise ValueError("dirty_ids must be a strictly increasing int64 array in [0, n_items)")
 
     def switches_needed(self, t: TallyState) -> tuple[int, int]:
         """Consensus flips needed to reach the truth from a tally.
@@ -100,11 +107,8 @@ class GroundTruth:
         needs exactly one flip.
         """
         consensus = t.pos > t.neg
-        truth = np.zeros(self.n_items, dtype=bool)
-        truth[list(self.dirty_set)] = True
-        positive = int(np.count_nonzero(truth & ~consensus))
-        negative = int(np.count_nonzero(~truth & consensus))
-        return positive, negative
+        agree = int(np.count_nonzero(consensus[self.dirty_ids]))  # dirty by consensus and truth
+        return len(self.dirty_ids) - agree, int(np.count_nonzero(consensus)) - agree
 
 
 def _synthetic_partition(
@@ -144,7 +148,7 @@ def simulate(sc: SimScenario) -> tuple[VoteLog, GroundTruth]:
     codes, names = np.repeat(np.arange(sc.n_tasks), size), tuple(map(str, range(sc.n_tasks)))
     # Task k goes to worker k alone, so one code column serves both.
     log = VoteLog(items, dirty, codes, codes, tuple(f"w{k}" for k in names), names, sc.n_items)
-    return log, GroundTruth(dirty_set=frozenset(dirty_items.tolist()), n_items=sc.n_items)
+    return log, GroundTruth(dirty_ids=np.sort(dirty_items), n_items=sc.n_items)
 
 
 def srmse(estimates: Sequence[float], truth: float) -> float:

@@ -111,7 +111,7 @@ def evaluate_trajectory(
         p * d,  # with n, the skew moment: a dirty vote adds 2(p-1)
     ]
     if truth is not None:
-        hit = np.isin(log.item_ids, [*truth.dirty_set])  # sized by the log, not the universe
+        hit = np.isin(log.item_ids, truth.dirty_ids)  # sized by the log, not the universe
         deltas += [majority_step * hit, majority_step * ~hit]
     # Summed within each task one delta row at a time, so no int64 copy of them all.
     totals = np.cumsum([np.add.reduceat(x, starts, dtype=np.int64) for x in deltas], axis=1)
@@ -139,7 +139,7 @@ def evaluate_trajectory(
                       for k in range(1 << len(markers))], dtype=object)
     truth_columns = [None] * 3
     if truth is not None:
-        dirty_count = np.full(n_tasks, len(truth.dirty_set), np.int64)
+        dirty_count = np.full(n_tasks, len(truth.dirty_ids), np.int64)
         truth_columns = [dirty_count, dirty_count - totals[7], totals[8]]
     return Trajectory(np.arange(n_tasks, dtype=np.int64), c, m, chao.total_errors_hat,
                       np.where(insufficient, np.nan, vchao.total_errors_hat), total,

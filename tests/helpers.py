@@ -46,7 +46,7 @@ def vote_ids(log):
 def dirty_mask(truth):
     """Boolean mask over the universe of a GroundTruth's planted dirty items."""
     mask = np.zeros(truth.n_items, dtype=bool)
-    mask[list(truth.dirty_set)] = True
+    mask[truth.dirty_ids.tolist()] = True
     return mask
 
 
@@ -346,6 +346,9 @@ def read_truth_oracle(path, item_count):
             item_id = _oracle_id(text, "truth entry", line_no)
             if not 0 <= item_id < item_count:
                 message = f"truth item {item_id} outside universe [0, {item_count})"
+                raise MalformedInputError(message, line_no)
+            if item_id >= 2**63:  # inside a larger universe, but item ids are int64
+                message = f"truth item {item_id} outside int64 range [0, 2**63)"
                 raise MalformedInputError(message, line_no)
             items.add(item_id)
     return frozenset(items)
@@ -720,9 +723,10 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
         truth_count = truth_xi_pos = truth_xi_neg = None
         if truth is not None:
             consensus = set(logged[t.pos > t.neg].tolist())
-            truth_count = len(truth.dirty_set)
-            truth_xi_pos = len(truth.dirty_set - consensus)
-            truth_xi_neg = len(consensus - truth.dirty_set)
+            planted = set(truth.dirty_ids.tolist())
+            truth_count = len(planted)
+            truth_xi_pos = len(planted - consensus)
+            truth_xi_neg = len(consensus - planted)
         row = (
             task_index, nominal(t), m, chao.total_errors_hat, vchao_total, total,
             xi_pos.remaining_hat, xi_neg.remaining_hat, chao.coverage_hat, truth_count,

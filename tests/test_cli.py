@@ -178,6 +178,20 @@ class TestEstimate:
         assert code == 2
         assert "universe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("items", [[2**63], [10**19], [0, 10**19]],
+                             ids=["2**63", "alone", "after-a-small-id"])
+    def test_item_id_past_int64_exit_2_name_line(self, tmp_path, capsys, items):
+        # item ids are int64 even inside a larger universe: alone, 10**19 once wrapped to a
+        # negative id, and after a small id it ended in an OverflowError traceback
+        votes = tmp_path / "votes.csv"
+        rows = "".join(f"0,w{k},{item},1\n" for k, item in enumerate(items))
+        votes.write_text("task_id,worker_id,item_id,label\n" + rows)
+        code = main(["estimate", str(votes), "--n-items", str(10**20)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        message = f"line {len(items) + 1}: item_id {items[-1]} outside int64 range [0, 2**63)"
+        assert message in captured.err
+
     @pytest.mark.parametrize(
         "flag, extra",
         [
@@ -649,7 +663,7 @@ def log_csv_text(log):
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(votes_csv_texts(), plain_votes_csv_texts(),
                  st.one_of(vote_logs(), pooled_vote_logs()).map(log_csv_text)),
-       st.none() | st.frozensets(st.integers(0, 7)))
+       st.none() | st.lists(st.integers(0, 7), max_size=10))
 def test_estimate_bytes_equal_oracle(text, truth_ids):
     with tempfile.TemporaryDirectory() as tmp:
         votes, truth_path, out = (Path(tmp, name) for name in ("votes.csv", "truth.csv", "out"))
@@ -657,9 +671,9 @@ def test_estimate_bytes_equal_oracle(text, truth_ids):
         argv = ["estimate", str(votes), "--n-items", "8", "--out", str(out)]
         truth = None
         if truth_ids is not None:
-            truth_path.write_text("".join(f"{item}\n" for item in truth_ids))
+            truth_path.write_text("".join(f"{item}\n" for item in truth_ids))  # with repeats
             argv += ["--truth", str(truth_path)]
-            truth = GroundTruth(truth_ids, 8)
+            truth = GroundTruth(np.array(sorted(set(truth_ids)), np.int64), 8)
         expected = expected_trajectory_csv(votes, 8, truth)
         with redirect_stderr(io.StringIO()):
             code = main(argv)
@@ -713,7 +727,7 @@ def test_simulate_bytes_equal_oracle(scenario, permutations):
             summary.append((k, name, mean[k][j], std[k][j], truth_cell))
     assert written == [write_rows_oracle(summary).encode(),
                        write_rows_oracle([VOTES_HEADER, *votes]).encode(),
-                       write_rows_oracle([item] for item in sorted(truth.dirty_set)).encode()]
+                       write_rows_oracle([item] for item in truth.dirty_ids.tolist()).encode()]
 
 
 @st.composite

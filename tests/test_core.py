@@ -250,6 +250,18 @@ class TestVoteLogValidation:
             VoteLog.from_ids(ids, [D, D], ("w0", "w1"), ("t0", "t1"), item_count=2**63 - 1)
         assert exc.value.position == 1
 
+    @pytest.mark.parametrize("item_ids", [
+        [0, 2**63], [0, 10**19], np.array([0, 2**63], np.uint64), [0, 2**64 + 1],
+    ], ids=["2**63", "10**19", "uint64", "2**64+1"])
+    def test_id_past_int64_inside_larger_universe_rejected(self, item_ids):
+        # item ids are int64: a uint64 id once wrapped to a negative one, and a list of
+        # Python ints ended in an OverflowError at the int64 cast
+        past = int(item_ids[1])
+        with pytest.raises(MalformedInputError) as exc:
+            VoteLog.from_ids(item_ids, [D, D], ("w0", "w1"), ("t0", "t0"), item_count=10**20)
+        assert str(exc.value) == f"item_id {past} outside int64 range [0, 2**63)"
+        assert exc.value.position == 1
+
     def test_codes_in_any_order(self):
         # codes need not follow first appearance: only a block repeating an earlier
         # block's task code splits that task
@@ -289,6 +301,12 @@ class TestFStatisticsType:
     def test_bad_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             FStatistics(freq={0: 1}, n=0)
+
+
+def assert_id_array(ids, expected):
+    """ids is a strictly increasing int64 array of exactly the expected ids."""
+    assert type(ids) is np.ndarray and ids.dtype == np.int64 and ids.ndim == 1
+    assert ids.tolist() == sorted(set(expected))
 
 
 def assert_same_columns(a, b):
@@ -361,17 +379,20 @@ class TestCsv:
             assert_same_columns(read_votes_csv(path, item_count=log.item_count), log)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.frozensets(st.integers(0, 49)))
+    @given(st.lists(st.integers(0, 49)))
     def test_truth_round_trip(self, dirty):
+        # written sorted, repeats kept; read back sorted without repeats
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "truth.csv"
-            write_truth_csv(dirty, path)
-            assert read_truth_csv(path, item_count=50) == dirty
+            write_truth_csv(np.array(dirty, np.int64), path)
+            assert path.read_text() == "".join(f"{item}\n" for item in sorted(dirty))
+            assert_id_array(read_truth_csv(path, item_count=50), dirty)
 
     @settings(max_examples=400, deadline=None)
     @given(votes_csv_texts())
     @example("task_id,worker_id,item_id,label\nt0,w0,0_2,1\n")  # int() reads 2
     @example("task_id,worker_id,item_id,label\r\n\r\nt0,w0,\u0661,1\r\n")  # int() reads 1
+    @example("task_id,worker_id,item_id,label\nt0, w0,1,1\nt0,w0,2,0\n")  # stripped to one worker
     def test_votes_match_row_by_row_oracle(self, text):
         assert_matches_votes_oracle(text, item_count=4)
 
@@ -474,9 +495,16 @@ class TestCsv:
         with pytest.raises(MalformedInputError, match=re.escape(f"line 2: item_id '{item}' is")):
             read_votes_csv(path, item_count=4)
 
-    @pytest.mark.parametrize("rows", ["t0,w0,1.9,1", "t0,w0,1e0,1", "t0,w0,+1,1",
-                                      "t0,w0,,1\nt0,w1,1.9,1",  # an empty cell first
-                                      f"t0,w0,{2**63},1", f"t0,w0,{10**19},1"])
+    @pytest.mark.parametrize("rows", [
+        "t0,w0,1.9,1", "t0,w0,1e0,1", "t0,w0,+1,1",
+        "t0,w0,,1\nt0,w1,1.9,1",  # an empty cell first
+        f"t0,w0,{2**63},1", f"t0,w0,{10**19},1",
+        # one bad byte first, in the middle or last in cells of 1, 2 and 5 bytes
+        "t0,w0,7,1\nt0,w1,x2345,1\nt0,w2,12,1", "t0,w0,7,1\nt0,w1,12x45,1\nt0,w2,12,1",
+        "t0,w0,7,1\nt0,w1,1234x,1\nt0,w2,12,1", "t0,w0,12345,1\nt0,w1,1x,1\nt0,w2,7,1",
+        "t0,w0,12345,1\nt0,w1,x,1\nt0,w2,12,1", "t0,w0,12345,1\nt0,w1,12,1\nt0,w2,x,1",
+        "t0,w0,12345,1\nt0,w1,,1\nt0,w2,7,1",  # an empty cell among wider ones
+    ])
     def test_item_loadtxt_may_misread_never_reaches_loadtxt(self, monkeypatch, rows):
         # the separators show the cell is no digit run short enough for int64, so no
         # numpy version decides it (an older one reads "1.9" or 2**63 through a float)
@@ -497,7 +525,8 @@ class TestCsv:
     @example("999999999999999999\n", 10**18)  # 18 digits, the widest array parse
     @example("9223372036854775807\n", 2**63)  # 19 digits: read line by line
     def test_truth_matches_line_by_line_oracle(self, text, item_count):
-        # the same set, or the same message on the same line, on any text
+        # the oracle's set as a sorted array, or the same message on the same line, on any
+        # text; an id past int64 inside a universe of 10**20 is named as such
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "truth.csv"
             path.write_bytes(text.encode("utf-8"))
@@ -508,7 +537,7 @@ class TestCsv:
                     read_truth_csv(path, item_count)
                 assert (str(got.value), got.value.line) == (str(exc), exc.line)
             else:
-                assert read_truth_csv(path, item_count) == expected
+                assert_id_array(read_truth_csv(path, item_count), expected)
 
     def test_plain_truth_parsed_as_array(self, tmp_path, monkeypatch):
         # a write_truth_csv export, with or without CRLF line ends, is one np.fromstring
@@ -520,13 +549,53 @@ class TestCsv:
 
         parse = np.fromstring
         monkeypatch.setattr(np, "fromstring", fromstring)
-        dirty = {0, 7, 10**17, 999_999_999_999_999_999}
+        dirty = [0, 7, 10**17, 999_999_999_999_999_999]
         path = tmp_path / "truth.csv"
         write_truth_csv(dirty, path)
-        assert read_truth_csv(path, item_count=10**18) == dirty
+        assert_id_array(read_truth_csv(path, item_count=10**18), dirty)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert read_truth_csv(path, item_count=10**18) == dirty
+        assert_id_array(read_truth_csv(path, item_count=10**18), dirty)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("pad, plain", [(b"%d", True), (b" %d", False)],
+                             ids=["array-parse", "line-by-line"])
+    def test_truth_repeats_dropped_on_both_paths(self, tmp_path, monkeypatch, bom, newline,
+                                                 pad, plain):
+        calls = []
+
+        def fromstring(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        parse = np.fromstring
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        ids = [7, 3, 7, 0, 3, 10**17, 0, 999_999_999_999_999_999]
+        path = tmp_path / "truth.csv"
+        path.write_bytes(bom + b"".join(pad % item + newline for item in ids))
+        expected = read_truth_oracle(path, item_count=10**18)
+        assert sorted(expected) == [0, 3, 7, 10**17, 999_999_999_999_999_999]
+        assert_id_array(read_truth_csv(path, item_count=10**18), expected)
+        assert len(calls) == plain
+
+    def test_crlf_votes_read_as_lf(self, tmp_path, monkeypatch):
+        # CRLF line ends are read in C as their LF form is, to the same log
+        scenario = SimScenario(n_items=40, n_dirty=8, task_size=5, n_tasks=12, fp_rate=0.1,
+                               fn_rate=0.1, permutations=1, seed=3)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_votes_csv(simulate(scenario)[0], lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+
+        def row_scan(text):
+            raise AssertionError("a plain file reached the row scan")
+
+        monkeypatch.setattr(core, "_vote_rows", row_scan)
+        logs = [read_votes_csv(path, item_count=40) for path in (lf, crlf)]
+        assert_same_columns(*logs)
+        for name in ("worker_codes", "task_codes"):
+            assert getattr(logs[0], name).tolist() == getattr(logs[1], name).tolist()
+        assert logs[0].tasks == logs[1].tasks
 
     def test_votes_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "votes.csv"
@@ -537,7 +606,7 @@ class TestCsv:
     def test_truth_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "truth.csv"
         path.write_bytes(b"\xef\xbb\xbf1\n3\n")
-        assert read_truth_csv(path, item_count=5) == {1, 3}
+        assert_id_array(read_truth_csv(path, item_count=5), {1, 3})
 
     def test_earliest_violation_reported(self, tmp_path):
         # vote 1 repeats a worker-item pair, vote 2 leaves the universe and

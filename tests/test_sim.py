@@ -44,7 +44,7 @@ class TestSimulate:
         sc = small_scenario()
         log_a, truth_a = simulate(sc)
         log_b, truth_b = simulate(sc)
-        assert truth_a.dirty_set == truth_b.dirty_set
+        assert truth_a.dirty_ids.tolist() == truth_b.dirty_ids.tolist()
         assert log_a.item_ids.tolist() == log_b.item_ids.tolist()
         assert log_a.dirty.tolist() == log_b.dirty.tolist()
         assert vote_ids(log_a) == vote_ids(log_b)
@@ -116,10 +116,37 @@ class TestSimulate:
 
 
 class TestGroundTruth:
+    @pytest.mark.parametrize("ids", [
+        frozenset({0, 1}), [0, 1], (0, 1), np.array([1, 0]), np.array([0, 1, 1]),
+        np.array([-1, 2]), np.array([0, 4]), np.array([0, 1], np.int32),
+        np.array([0.0, 1.0]), np.array([[0, 1]]),
+    ], ids=["frozenset", "list", "tuple", "unsorted", "repeated", "negative", "past-universe",
+            "int32", "float", "2-d"])
+    def test_rejects_all_but_increasing_int64_array(self, ids):
+        # an old-style set would match nothing in np.isin; it fails loudly instead
+        with pytest.raises(ValueError, match="strictly increasing int64 array"):
+            GroundTruth(ids, n_items=4)
+
+    @pytest.mark.parametrize("ids", [[], [3], [0, 1, 3]])
+    def test_accepts_increasing_int64_array(self, ids):
+        truth = GroundTruth(np.array(ids, np.int64), n_items=4)
+        assert truth.dirty_ids.tolist() == ids
+
+    @pytest.mark.parametrize("kw", [dict(), dict(n_dirty=0), dict(n_dirty=50, seed=3),
+                                    dict(prioritize=True, seed=11)])
+    def test_simulated_truth_is_sorted_draw(self, kw):
+        # the sorted rng.choice draw: strictly increasing int64, and the seed stream unchanged
+        sc = small_scenario(**kw)
+        _, truth = simulate(sc)
+        draw = np.random.default_rng(sc.seed).choice(sc.n_items, size=sc.n_dirty, replace=False)
+        assert truth.dirty_ids.dtype == np.int64 and truth.n_items == sc.n_items
+        assert truth.dirty_ids.tolist() == sorted(draw.tolist())
+        assert (np.diff(truth.dirty_ids) > 0).all()
+
     def test_switches_needed(self):
         from errest.core import TallyState
 
-        truth = GroundTruth(dirty_set=frozenset({0, 1}), n_items=4)
+        truth = GroundTruth(dirty_ids=np.array([0, 1]), n_items=4)
         # consensus: item0 dirty, item1 clean, item2 dirty, item3 clean
         t = TallyState(np.array([2, 0, 3, 0]), np.array([0, 1, 1, 0]))
         pos, neg = truth.switches_needed(t)

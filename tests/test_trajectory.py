@@ -21,7 +21,7 @@ class TestArguments:
 
 
 class TestIncrementalReplay:
-    @pytest.mark.parametrize("truth", [None, GroundTruth(frozenset({1}), 3)])
+    @pytest.mark.parametrize("truth", [None, GroundTruth(np.array([1]), 3)])
     def test_empty_log_gives_empty_columns(self, truth):
         log = make_log([], item_count=3)
         traj = evaluate_trajectory(log, shift=5, trend_window=4, truth=truth)
@@ -32,7 +32,7 @@ class TestIncrementalReplay:
     @given(vote_logs())
     def test_rows_equal_from_scratch_prefixes(self, log):
         n = log.item_count
-        truth = GroundTruth(frozenset(range(0, n, 2)), n)
+        truth = GroundTruth(np.arange(0, n, 2, dtype=np.int64), n)
         traj = evaluate_trajectory(log, truth=truth)
         assert len(traj) == log.task_count
         assert traj == trajectory_oracle(log, DEFAULT_SHIFT, DEFAULT_TREND_WINDOW, truth)
@@ -50,7 +50,7 @@ class TestIncrementalReplay:
         truth = None
         if with_truth:
             dirty = data.draw(st.frozensets(st.integers(0, log.item_count - 1)))
-            truth = GroundTruth(dirty, log.item_count)
+            truth = GroundTruth(np.array(sorted(dirty), np.int64), log.item_count)
         traj = evaluate_trajectory(log, shift=shift, trend_window=window, truth=truth)
         assert traj == trajectory_oracle(log, shift, window, truth)
 
@@ -59,7 +59,8 @@ class TestIncrementalReplay:
     def test_rows_equal_oracle_near_int64_edge(self, log, shift, data):
         # the item grouping packs ids into sort keys, which near 2**63 must not overflow
         near_top = st.integers(log.item_count - 10, log.item_count - 1)  # holds every logged id
-        truth = GroundTruth(data.draw(st.frozensets(near_top)), log.item_count)
+        dirty = sorted(data.draw(st.frozensets(near_top)))
+        truth = GroundTruth(np.array(dirty, np.int64), log.item_count)
         traj = evaluate_trajectory(log, shift=shift, truth=truth)
         assert traj == trajectory_oracle(log, shift, DEFAULT_TREND_WINDOW, truth)
 
@@ -86,7 +87,7 @@ class TestTypedColumns:
     @settings(max_examples=100, deadline=None)
     @given(vote_logs(), st.booleans())
     def test_columns_typed_with_nan_gaps(self, log, with_truth):
-        truth = GroundTruth(frozenset(range(0, log.item_count, 3)), log.item_count)
+        truth = GroundTruth(np.arange(0, log.item_count, 3, dtype=np.int64), log.item_count)
         truth = truth if with_truth else None
         traj = evaluate_trajectory(log, truth=truth)
         for field in fields(Trajectory):
@@ -105,7 +106,7 @@ class TestTypedColumns:
     @settings(max_examples=100, deadline=None)
     @given(vote_logs(), st.booleans())
     def test_eq_exact_on_dtype_and_nan(self, log, with_truth):
-        truth = GroundTruth(frozenset({0}), log.item_count) if with_truth else None
+        truth = GroundTruth(np.array([0]), log.item_count) if with_truth else None
         traj = evaluate_trajectory(log, truth=truth)
         copies = {name: column.copy() for name, column in vars(traj).items()
                   if column is not None}
