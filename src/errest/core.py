@@ -279,20 +279,19 @@ def _parse_id(text: str, what: str, line: int) -> int:
 _PLAIN_HEADER = ",".join(VOTES_CSV_HEADER) + "\n"
 # What csv.reader or str.strip reads specially: the quote, NUL, ASCII whitespace but LF.
 _NOT_PLAIN = "".join(chr(b) for b in range(128) if chr(b).isspace() and b != 10) + '"\0'
-# A plain read holds ids and labels as wide as the longest cell of their column. Past this
-# many bytes per file byte (one long id widens a whole column), about what the row scan's
-# str cells take on short ids, the row scan reads the file instead.
+# A plain read holds ids as wide as their column's longest cell, an int64 item and a label
+# byte. Past this many bytes per file byte (one long id widens a whole column), about what
+# the row scan's str cells take on short ids, the row scan reads the file instead.
 _WIDTH_BUDGET = 32
 
 
 def _plain_columns(text: str):
-    """Parse a plain votes CSV in C; None for any other text, or one loadtxt rejects.
+    """Read a plain votes CSV from its separators alone; None for any other text.
 
     Plain text is ASCII with the exact header, LF line ends, no character of _NOT_PLAIN,
     no line over the csv field limit: csv.reader plus strip would give the same cells.
-    Ids and labels are read as bytes as wide as the longest cell of their column, which
-    the separators give; returns the VoteLog columns, ids as codes and names, and each
-    vote's line, as _vote_rows does.
+    Each row must hold three commas, an item_id of 1 to 18 digits and a label 0 or 1.
+    Returns the VoteLog columns, ids as codes and names, and each vote's line, as _vote_rows.
     """
     scans = map(text.__contains__, _NOT_PLAIN)  # one scan of text per character, no copy
     if not (text.startswith(_PLAIN_HEADER) and text.isascii()) or any(scans):
@@ -304,40 +303,41 @@ def _plain_columns(text: str):
     rows = np.count_nonzero(full) - 1
     if ((ends - starts).max() > csv.field_size_limit() or not rows
             or len(commas) != 3 * rows + 3):
-        return None  # not plain, a ragged row, or no row, on which loadtxt would warn
-    # Each row's four cells lie between the line's ends and its three commas.
+        return None  # not plain, a ragged row, or no row
+    # Taken in threes, the commas are each row's own three when every third one lies two bytes
+    # before its row's end: the byte between is a label, checked 0 or 1 below, so no comma.
     left, middle, right = commas.reshape(-1, 3)[1:].T
-    cells = (left - starts[full][1:], middle - left - 1, right - middle - 1,
-             ends[full][1:] - right - 1)
-    widths = [max(int(cell.max()), 1) for cell in cells]  # per column
-    lines = np.flatnonzero(full)[1:] + 1
-    if rows * (sum(widths) - widths[2] + 8) > _WIDTH_BUDGET * len(byte) or widths[2] > 18:
-        return None  # too wide, or an item_id over 18 digits, maybe past int64
-    first, last = middle + 1, right - 1  # of each item cell; an empty cell's last is its comma
-    del breaks, commas, starts, ends, full, left, middle, right, cells  # freed before the check
-    for _ in range(widths[2]):  # one gather per byte position: loadtxt may read "1.9" via a float
-        item_bytes = byte[np.minimum(first, last, out=first)]  # clamped, in place, to the last
-        if ((item_bytes < 48) | (item_bytes > 57)).any():
+    starts, lines = starts[full][1:], np.flatnonzero(full)[1:] + 1
+    if not (right + 2 == ends[full][1:]).all():
+        return None
+    del breaks, ends, full
+    widths = [max(int(c.max()), 1) for c in (left - starts, middle - left - 1, right - middle - 1)]
+    label = byte[right + 1] - 48  # uint8, so a byte below "0" wraps past 1, as past 9 below
+    if (rows * (widths[0] + widths[1] + 9) > _WIDTH_BUDGET * len(byte) or widths[2] > 18
+            or (label > 1).any()):
+        return None  # too wide, an item_id over 18 digits, maybe past int64, or a bad label
+    items, first, last = np.zeros(rows, np.int64), middle + 1, right - 1  # of each item cell
+    for _ in range(widths[2]):  # one gather per byte position; an empty cell's last is its comma
+        digit = byte[np.minimum(first, last)] - 48  # clamped to the last byte
+        if (digit > 9).any():
             return None
+        items = np.where(first <= last, items * 10 + digit, items)
         first += 1
-    del byte, first, last, item_bytes  # freed before parsing: one left live raised the peak RSS
-    kinds = [("task", f"S{widths[0]}"), ("worker", f"S{widths[1]}"), ("item", "i8"),
-             ("label", f"S{widths[3]}")]
-    try:
-        votes = np.loadtxt(io.StringIO(text), delimiter=",", dtype=kinds, skiprows=1,
-                           comments=None, quotechar=None, ndmin=1)
-    except ValueError:  # a ragged row
-        return None
-    dirty = votes["label"] == b"1"
-    if not (dirty | (votes["label"] == b"0")).all():
-        return None
+    ids = []
+    for first, last, width in ((left + 1, middle, widths[1]), (starts, left, widths[0])):
+        matrix = np.zeros((rows, width), np.uint8)  # each id, NUL-padded as S<width> is
+        for column in matrix.T:  # one gather per byte position; last is the comma after
+            column[:] = byte[np.minimum(first, last)] * (first < last)
+            first += 1
+        ids.append(matrix.view(f"S{width}").ravel())
+    del byte, commas, starts, left, middle, right, first, last  # freed before np.unique
     codes, names = [], []
-    for column in (votes["worker"], votes["task"]):
+    for column in ids:  # worker, then task
         unique, first, inverse = np.unique(column, return_index=True, return_inverse=True)
         order, rank = _stable_order(first)  # numbered by first appearance, as from_ids does
         codes.append(rank[inverse])
         names.append(tuple(unique[order].astype(str).tolist()))
-    return votes["item"].copy(), dirty, *codes, *names, lines
+    return items, label == 1, *codes, *names, lines
 
 
 def _vote_rows(text: str) -> tuple:
@@ -368,8 +368,8 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     """Load a vote log from CSV (header task_id,worker_id,item_id,label).
 
     Row order is arrival order; rows must be grouped by task. The item
-    universe size is supplied out of band. A plain file is parsed in C,
-    any other row by row; an error names its line either way.
+    universe size is supplied out of band. A plain file is read from its
+    separators, any other row by row; an error names its line either way.
     """
     text = _read_text(path)
     columns, make = _plain_columns(text.replace("\r\n", "\n") if "\r" in text else text), VoteLog

@@ -448,9 +448,9 @@ def plain_votes_csv_texts(draw, item_count=8):
     """Hypothesis strategy: unpadded ASCII votes CSV text with LF line ends.
 
     The header is exact and no cell is quoted, so the text is plain in the
-    reader's sense; up to two odd rows test what loadtxt accepts: an odd
-    id, a label 01, 2 or empty, a ragged row or a trailing comma. Rows may
-    be blank, the file may end without a newline or hold only the header.
+    reader's sense; up to two odd rows test what the plain read refuses: an
+    odd id, a label 01, 2 or empty, a ragged row or a trailing comma. Rows
+    may be blank, the file may end without a newline or hold only the header.
     """
     task = st.sampled_from(["t0", "t1", "#t2", ""])  # "#" is no comment
     worker = st.sampled_from(["w0", "w1", "w2", "'w3'"])

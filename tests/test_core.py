@@ -2,7 +2,6 @@ import re
 import tempfile
 import tracemalloc
 from unittest import mock
-import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
@@ -400,8 +399,19 @@ class TestCsv:
     @given(plain_votes_csv_texts())
     @example("task_id,worker_id,item_id,label\nt0,w0,9223372036854775808,1\n")  # int64 overflow
     @example("task_id,worker_id,item_id,label\nt0,w0,1,01\nt0,w1,2,1")
+    @example("task_id,worker_id,item_id,label\nt0,w0,1,1,\nt0,5,1\n")  # 4 and 2 commas
     def test_plain_votes_match_row_by_row_oracle(self, text):
         assert_matches_votes_oracle(text, item_count=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plain_votes_csv_texts())
+    def test_plain_votes_read_without_loadtxt(self, text):
+        # the separators alone give every cell: numpy's text reader is never asked
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("a votes file reached np.loadtxt")
+
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            assert_matches_votes_oracle(text, item_count=8)
 
     @settings(max_examples=200, deadline=None)
     @given(plain_votes_csv_texts())
@@ -426,6 +436,8 @@ class TestCsv:
         "t0,w0,1,1\nt0,w1,2,0\nlong-task-id,long-worker-id,123456789,1",  # and no final LF
         "t0,w0,5,1\n",  # one row
         "t0,w0,5,0",  # one row, no final LF
+        ",w0,1,1\n,,2,0\nt1,,3,1\n",  # empty task and worker ids
+        ",,1,1\n",  # every id empty
     ])
     def test_plain_read_equals_row_scan_at_width_edges(self, body):
         # the column widths come from the rows alone: a narrower read would cut ids
@@ -478,18 +490,8 @@ class TestCsv:
             assert_same_columns(read_votes_csv(path, 10), log)
 
     @pytest.mark.parametrize("item", ["1.9", "1e0", "1."])
-    def test_item_read_via_float_goes_to_row_scan(self, tmp_path, monkeypatch, item):
-        # numpy from 1.23 until the deprecation expired parses an int64 through a float,
-        # truncating "1.9" to 1 with only a DeprecationWarning
-        loadtxt = np.loadtxt
-
-        def loadtxt_via_float(fname, dtype, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning)
-            as_float = [(name, "f8" if kind == "i8" else kind) for name, kind in dtype]
-            return loadtxt(fname, dtype=as_float, **kwargs).astype(dtype)
-
-        monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    def test_item_read_via_float_goes_to_row_scan(self, tmp_path, item):
+        # a reader that goes through a float would truncate "1.9" to 1; the row scan names it
         path = tmp_path / "votes.csv"
         path.write_text(f"task_id,worker_id,item_id,label\nt0,w0,{item},1\n")
         with pytest.raises(MalformedInputError, match=re.escape(f"line 2: item_id '{item}' is")):
@@ -505,14 +507,31 @@ class TestCsv:
         "t0,w0,12345,1\nt0,w1,x,1\nt0,w2,12,1", "t0,w0,12345,1\nt0,w1,12,1\nt0,w2,x,1",
         "t0,w0,12345,1\nt0,w1,,1\nt0,w2,7,1",  # an empty cell among wider ones
     ])
-    def test_item_loadtxt_may_misread_never_reaches_loadtxt(self, monkeypatch, rows):
-        # the separators show the cell is no digit run short enough for int64, so no
-        # numpy version decides it (an older one reads "1.9" or 2**63 through a float)
-        def loadtxt(*args, **kwargs):
-            raise AssertionError("an item_id loadtxt may misread reached np.loadtxt")
-
-        monkeypatch.setattr(np, "loadtxt", loadtxt)
+    def test_item_loadtxt_may_misread_never_reaches_loadtxt(self, rows):
+        # the separators show the cell is no digit run short enough for int64, which numpy's
+        # text reader might misread ("1.9" or 2**63 through a float): the plain read refuses it
         assert core._plain_columns(f"task_id,worker_id,item_id,label\n{rows}\n") is None
+
+    @pytest.mark.parametrize("rows", [
+        "t0,w0,1,1,\nt0,5,1",  # 4 then 2 commas, three a row in all
+        "t0,5,1\nt0,w0,1,1,",  # 2 then 4
+        "t0,w0,1,,\nt0,w1,1",  # 4 then 2, the fourth comma where the label goes
+        "t0,w0,1,1,",  # a trailing comma
+        "t0,w0,1,01", "t0,w0,1,2", "t0,w0,1,",  # labels 01, 2 and empty
+    ])
+    def test_row_without_three_commas_and_a_label_goes_to_row_scan(self, tmp_path, rows):
+        # each row must hold its own three commas and a label 0 or 1; the row scan names
+        # the line of any other
+        text = f"task_id,worker_id,item_id,label\nt0,w9,0,0\n{rows}\n"
+        assert core._plain_columns(text) is None
+        path = tmp_path / "votes.csv"
+        path.write_text(text)
+        with mock.patch.object(core, "_plain_columns", lambda text: None):
+            with pytest.raises(MalformedInputError) as scanned:
+                read_votes_csv(path, item_count=8)
+        with pytest.raises(MalformedInputError) as got:
+            read_votes_csv(path, item_count=8)
+        assert (str(got.value), got.value.line) == (str(scanned.value), scanned.value.line)
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(truth_texts(), plain_truth_texts()), st.sampled_from([6, 2**63, 10**20]))
