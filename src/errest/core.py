@@ -226,10 +226,14 @@ def error_fstats(log: VoteLog, upto_seq: int | None = None) -> FStatistics:
     return fstats_from_tally(tally(log, upto_seq))
 
 
-def _read_text(path) -> str:
-    """The text of a UTF-8 file past any byte-order mark; a decode error names its line."""
+def _read_bytes(path) -> bytes:
+    """The bytes of a file past any UTF-8 byte-order mark."""
     with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(b"\xef\xbb\xbf")
+        return fh.read().removeprefix(b"\xef\xbb\xbf")
+
+
+def _decode(raw: bytes) -> str:
+    """The text of UTF-8 bytes; a decode error names its line."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:  # lines end where csv.reader and text mode end them
@@ -276,27 +280,27 @@ def _parse_id(text: str, what: str, line: int) -> int:
     raise MalformedInputError(f"{what} {text!r} is not an integer", line)
 
 
-_PLAIN_HEADER = ",".join(VOTES_CSV_HEADER) + "\n"
+_PLAIN_HEADER = ",".join(VOTES_CSV_HEADER).encode() + b"\n"
 # What csv.reader or str.strip reads specially: the quote, NUL, ASCII whitespace but LF.
-_NOT_PLAIN = "".join(chr(b) for b in range(128) if chr(b).isspace() and b != 10) + '"\0'
+_NOT_PLAIN = bytes(b for b in range(128) if chr(b).isspace() and b != 10) + b'"\0'
 # A plain read holds ids as wide as their column's longest cell, an int64 item and a label
 # byte. Past this many bytes per file byte (one long id widens a whole column), about what
 # the row scan's str cells take on short ids, the row scan reads the file instead.
 _WIDTH_BUDGET = 32
 
 
-def _plain_columns(text: str):
-    """Read a plain votes CSV from its separators alone; None for any other text.
+def _plain_columns(raw: bytes):
+    """Read a plain votes CSV from its separators alone; None for any other bytes.
 
-    Plain text is ASCII with the exact header, LF line ends, no character of _NOT_PLAIN,
+    Plain bytes are ASCII with the exact header, LF line ends, no byte of _NOT_PLAIN,
     no line over the csv field limit: csv.reader plus strip would give the same cells.
     Each row must hold three commas, an item_id of 1 to 18 digits and a label 0 or 1.
     Returns the VoteLog columns, ids as codes and names, and each vote's line, as _vote_rows.
     """
-    scans = map(text.__contains__, _NOT_PLAIN)  # one scan of text per character, no copy
-    if not (text.startswith(_PLAIN_HEADER) and text.isascii()) or any(scans):
+    scans = map(raw.__contains__, _NOT_PLAIN)  # one memchr scan per byte, no copy
+    if not (raw.startswith(_PLAIN_HEADER) and raw.isascii()) or any(scans):
         return None
-    byte = np.frombuffer(text.encode("ascii"), np.uint8)
+    byte = np.frombuffer(raw, np.uint8)  # a read-only view: nothing writes into it
     breaks, commas = np.flatnonzero(byte == 10), np.flatnonzero(byte == 44)
     starts, ends = np.append(0, breaks + 1), np.append(breaks, len(byte))  # of each line
     full = ends > starts  # the lines that are not blank, the header first
@@ -368,18 +372,18 @@ def read_votes_csv(path, item_count: int) -> VoteLog:
     """Load a vote log from CSV (header task_id,worker_id,item_id,label).
 
     Row order is arrival order; rows must be grouped by task. The item
-    universe size is supplied out of band. A plain file is read from its
-    separators, any other row by row; an error names its line either way.
+    universe size is supplied out of band. A plain file is read from the
+    separators of its bytes, any other decoded and read row by row; an error names its line.
     """
-    text = _read_text(path)
-    columns, make = _plain_columns(text.replace("\r\n", "\n") if "\r" in text else text), VoteLog
-    if columns is None:
-        columns, make = _vote_rows(text), VoteLog.from_ids
-    *columns, lines = columns
+    raw = _read_bytes(path)
+    columns, make = _plain_columns(raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw), VoteLog
+    if columns is None:  # the original bytes, so a quoted CRLF keeps its CR
+        columns, make = _vote_rows(_decode(raw)), VoteLog.from_ids
+    del raw  # freed before the log is built
     try:
-        return make(*columns, item_count)
+        return make(*columns[:-1], item_count)
     except MalformedInputError as exc:  # the log contract: the vote's line from its reader
-        raise MalformedInputError(str(exc), int(lines[exc.position])) from None
+        raise MalformedInputError(str(exc), int(columns[-1][exc.position])) from None
 
 
 def _write_table(path, header: Sequence[str], row_format: str, rows: Iterator[tuple]) -> None:
@@ -414,10 +418,9 @@ def write_votes_csv(log: VoteLog, path) -> None:
 
 def read_truth_csv(path, item_count: int) -> np.ndarray:
     """Load the true-dirty item ids, one a line, as a sorted int64 array without repeats."""
-    text = _read_text(path)
-    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-    raw = text.encode("ascii", "ignore")  # shorter than text if any character is not ASCII
-    if len(raw) == len(text) and not raw.translate(None, b"0123456789\n"):  # digits and LF alone
+    raw = _read_bytes(path)  # no UTF-8 sequence holds a CR, so decode errors keep their line
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+    if not raw.translate(None, b"0123456789\n"):  # digits and LF alone
         breaks = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
         widths = np.diff(breaks, prepend=-1, append=len(raw)) - 1  # of each line
         ids = np.count_nonzero(widths)  # fromstring reads a text without one as [0]
@@ -426,7 +429,7 @@ def read_truth_csv(path, item_count: int) -> np.ndarray:
             if len(items) == ids and int(items[-1]) < item_count:
                 return items[np.diff(items, prepend=-1) > 0]  # np.unique hashes: slower
     items = set()  # any other text, line by line: the first bad line is named
-    for line_no, line in enumerate(text.split("\n"), 1):  # splitlines also ends at \x0c
+    for line_no, line in enumerate(_decode(raw).split("\n"), 1):  # splitlines ends at \x0c
         entry = line.strip()
         if entry:
             item_id = _parse_id(entry, "truth entry", line_no)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import MalformedInputError, _csv_cells, _read_text
+from .core import MalformedInputError, _csv_cells, _decode, _read_bytes
 
 __all__ = [
     "RecordTable",
@@ -51,7 +51,7 @@ def read_records_csv(path) -> RecordTable:
     are unique. Errors name the line on which the offending record starts,
     which a quoted field may span.
     """
-    header, cells, lines, error = _csv_cells(_read_text(path))
+    header, cells, lines, error = _csv_cells(_decode(_read_bytes(path)))
     if not header or header[0].strip() != "record_id":
         raise MalformedInputError("first column must be record_id", 1)
     width = len(header)

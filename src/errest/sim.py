@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TallyState, VoteLog, _read_text
+from .core import TallyState, VoteLog, _decode, _read_bytes
 from .priority import DEFAULT_EPSILON, EpsilonPolicy, HeuristicPartition, draw_tasks, partition
 
 __all__ = [
@@ -240,7 +240,7 @@ def _scenario_object(pairs: list) -> dict:
 def load_scenario(path) -> SimScenario:
     """Read a scenario from flat-key JSON, rejecting unknown and repeated keys."""
     try:
-        raw = json.loads(_read_text(path), object_pairs_hook=_scenario_object)
+        raw = json.loads(_decode(_read_bytes(path)), object_pairs_hook=_scenario_object)
     except RecursionError:
         raise ValueError("scenario file nests too deeply to parse") from None
     if not isinstance(raw, dict):

@@ -95,6 +95,8 @@ NON_UTF8 = {  # (file bytes, line of the bad byte)
     # a decoder that skips the mark counts its offsets 3 bytes short
     "votes-bom": (BOM + b"task_id,worker_id,item_id,label\n0,w0,0,1\n\xff,w1,1,1\n", 3),
     "truth-bom": (BOM + b"1\n2\n\xff\n", 3),
+    # lone CRs are line ends, also once the truth reader has replaced them before decoding
+    "truth-cr": (b"\r".join(str(k).encode() for k in range(900)) + b"\r\xff\r", 901),
     "scenario-bom": (BOM + b'{"n_items": 20,\n "n_dirty": 4,\n "\xff": 1}\n', 3),
 }
 
@@ -296,7 +298,7 @@ class TestEstimate:
     @pytest.mark.parametrize("case", list(NON_UTF8))
     def test_non_utf8_file_exit_2_name_line(self, tmp_path, capsys, case):
         data, line = NON_UTF8[case]
-        where = case.removesuffix("-bom")
+        where = case.split("-")[0]
         paths = {name: tmp_path / f"{name}.in" for name in ("votes", "truth", "scenario")}
         paths["votes"].write_bytes(BIG_VOTES)
         paths["truth"].write_bytes(BIG_TRUTH)

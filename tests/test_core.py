@@ -442,7 +442,7 @@ class TestCsv:
     def test_plain_read_equals_row_scan_at_width_edges(self, body):
         # the column widths come from the rows alone: a narrower read would cut ids
         text = "task_id,worker_id,item_id,label\n" + body
-        *columns, lines = core._plain_columns(text)  # None, and so an error, if not plain
+        *columns, lines = core._plain_columns(text.encode())  # None, so an error, if not plain
         *scanned, scan_lines = core._vote_rows(text)
         plain, row_scan = VoteLog(*columns, 10**9), VoteLog.from_ids(*scanned, 10**9)
         assert_same_columns(plain, row_scan)
@@ -459,7 +459,7 @@ class TestCsv:
         rows[7] = f"0,{'x' * 5000},7,1"
         path = tmp_path / "votes.csv"
         path.write_text("task_id,worker_id,item_id,label\n" + "\n".join(rows) + "\n")
-        assert core._plain_columns(path.read_text()) is None
+        assert core._plain_columns(path.read_bytes()) is None
         *columns, lines = parse_votes_oracle(path)
         expected = VoteLog.from_ids(*columns, item_count=2000)
         tracemalloc.start()
@@ -510,7 +510,7 @@ class TestCsv:
     def test_item_loadtxt_may_misread_never_reaches_loadtxt(self, rows):
         # the separators show the cell is no digit run short enough for int64, which numpy's
         # text reader might misread ("1.9" or 2**63 through a float): the plain read refuses it
-        assert core._plain_columns(f"task_id,worker_id,item_id,label\n{rows}\n") is None
+        assert core._plain_columns(f"task_id,worker_id,item_id,label\n{rows}\n".encode()) is None
 
     @pytest.mark.parametrize("rows", [
         "t0,w0,1,1,\nt0,5,1",  # 4 then 2 commas, three a row in all
@@ -523,7 +523,7 @@ class TestCsv:
         # each row must hold its own three commas and a label 0 or 1; the row scan names
         # the line of any other
         text = f"task_id,worker_id,item_id,label\nt0,w9,0,0\n{rows}\n"
-        assert core._plain_columns(text) is None
+        assert core._plain_columns(text.encode()) is None
         path = tmp_path / "votes.csv"
         path.write_text(text)
         with mock.patch.object(core, "_plain_columns", lambda text: None):
@@ -532,6 +532,40 @@ class TestCsv:
         with pytest.raises(MalformedInputError) as got:
             read_votes_csv(path, item_count=8)
         assert (str(got.value), got.value.line) == (str(scanned.value), scanned.value.line)
+
+    def test_plain_byte_set(self):
+        # each ASCII byte, and one non-ASCII character, inside a worker id: the plain read
+        # refuses the quote, NUL and the str.isspace bytes but LF, which csv.reader or
+        # str.strip read specially, and the comma and LF, which split the row; 0x01-0x08,
+        # 0x0e-0x1b and 0x7f are plain. Either way the read equals the row-by-row oracle.
+        refused = {*b'"\0\t\x0b\x0c\r\x1c\x1d\x1e\x1f ', *b",\n", ord("\u00e9")}
+        for char in [*map(chr, range(128)), "\u00e9"]:
+            text = f"task_id,worker_id,item_id,label\nt0,w{char}x,1,1\nt0,w1,2,0\n"
+            plain = core._plain_columns(text.encode()) is not None
+            assert plain == (ord(char) not in refused), repr(char)
+            assert_matches_votes_oracle(text, item_count=8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plain_votes_csv_texts())
+    @example("task_id,worker_id,item_id,label\nt0, w0,1,1\n")  # padded: decoded
+    def test_plain_reads_never_decode(self, text):
+        # a votes file the plain read takes, and a plain truth file, are parsed from their
+        # bytes: with the decode patched to raise they still match their oracles, while any
+        # other votes file, such as a padded one, reaches the decode
+        def decode(raw):
+            raise AssertionError("decoded")
+
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(core, "_decode", decode):
+            truth = Path(tmp) / "truth.csv"
+            truth.write_bytes(b"3\r\n1\n\n3\r0")
+            assert_id_array(read_truth_csv(truth, 4), read_truth_oracle(truth, 4))
+            if core._plain_columns(text.encode()) is not None:
+                assert_matches_votes_oracle(text, item_count=8)
+                return
+            votes = Path(tmp) / "votes.csv"
+            votes.write_bytes(text.encode())
+            with pytest.raises(AssertionError, match="decoded"):
+                read_votes_csv(votes, item_count=8)
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(truth_texts(), plain_truth_texts()), st.sampled_from([6, 2**63, 10**20]))
