@@ -95,7 +95,9 @@ class VoteLog:
         items = np.asarray(raw[:end], dtype=np.int64)
         workers, task_codes = codes[0][:end], codes[1][:end]
         pairs = _packable(items, len(self.worker_names)) * len(self.worker_names) + workers
-        order = _stable_order(pairs)[0]  # stable: a pair's votes stay in arrival order
+        # A value sort finds whether a pair repeats; only then does the stable order, which
+        # keeps a pair's votes in arrival order, name the first repeat.
+        order = _stable_order(pairs)[0] if (np.diff(np.sort(pairs)) == 0).any() else pairs[:0]
         repeats = order[1:][np.diff(pairs[order]) == 0]
         starts = np.flatnonzero(np.diff(task_codes, prepend=-1))
         later = np.ones(len(starts), dtype=bool)  # a block whose code an earlier block has
@@ -336,11 +338,14 @@ def _plain_columns(raw: bytes):
         ids.append(matrix.view(f"S{width}").ravel())
     del byte, commas, starts, left, middle, right, first, last  # freed before np.unique
     codes, names = [], []
-    for column in ids:  # worker, then task
-        unique, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    while ids:  # worker, then task, each coded from its runs of equal adjacent ids
+        column = ids.pop(0)
+        heads = np.flatnonzero(np.append(True, column[1:] != column[:-1]))  # each run's first row
+        unique, first, inverse = np.unique(column[heads], return_index=True, return_inverse=True)
         order, rank = _stable_order(first)  # numbered by first appearance, as from_ids does
-        codes.append(rank[inverse])
+        codes.append(np.repeat(rank[inverse], np.diff(heads, append=rows)))
         names.append(tuple(unique[order].astype(str).tolist()))
+        del column, heads, unique, first, inverse, order, rank  # freed before the next column
     return items, label == 1, *codes, *names, lines
 
 

@@ -73,6 +73,9 @@ class SimScenario:
         votes = self.n_tasks * min(self.task_size, self.n_items)  # simulate holds 8 bytes each
         if votes >= 2**60:
             raise ValueError(f"n_tasks * task_size (at most n_items) must be below 2**60: {votes}")
+        runs = self.permutations * max(self.n_tasks, 1)  # permute_and_average steps per task
+        if runs >= 2**60:
+            raise ValueError(f"permutations * n_tasks (at least 1) must be below 2**60: {runs}")
         if self.n_items == 0 and self.n_tasks > 0:
             raise ValueError("n_items must be >= 1 when n_tasks > 0, got 0")
         if self.n_dirty > self.n_items:

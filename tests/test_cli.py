@@ -398,6 +398,18 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 2
         assert "n_tasks * task_size" in capsys.readouterr().err
 
+    def test_permutations_beyond_loop_count_named_exit_2(self, tmp_path, capsys):
+        # the permutation loop once ran on, its memory climbing, instead of failing
+        scenario = scenario_file(tmp_path)  # 25 tasks
+        out = tmp_path / "out.csv"
+        argv = ["simulate", str(scenario), "--permutations", "99999999999999999999", "--out",
+                str(out)]
+        assert main(argv) == 2
+        runs = 99999999999999999999 * 25
+        assert (f"permutations * n_tasks (at least 1) must be below 2**60: {runs}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("prioritize", [False, True])
     def test_zero_items_with_tasks_named_exit_2(self, tmp_path, capsys, prioritize):
         # Every task would be empty, so the summary would hold no estimate at all.

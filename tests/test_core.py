@@ -452,6 +452,60 @@ class TestCsv:
             assert getattr(plain, name).tolist() == getattr(row_scan, name).tolist()
         assert lines.tolist() == scan_lines
 
+    @pytest.mark.parametrize("layout", ["blocks", "every-row", "returning", "split-task"])
+    def test_run_coding_equals_row_scan_at_size(self, tmp_path, layout):
+        # the plain read codes ids from their runs of equal adjacent rows; at 20,000 rows the
+        # runs span thousands of rows. Ten tasks of 2,000 votes on distinct items, as in a
+        # crowd log, with a blank line inside the sixth task.
+        k = np.arange(20_000)
+        tasks, workers = k // 2000, k // 2000  # blocks: one worker a task
+        if layout == "every-row":
+            workers = k % 7  # the worker id changes on every row
+        elif layout == "returning":
+            workers = tasks % 3  # worker 0 returns after the runs of workers 1 and 2
+        elif layout == "split-task":
+            tasks = np.where((k >= 15_000) & (k < 16_000), 2, tasks)  # task 2 comes back
+        rows = [f"t{7 * t % 10},w{3 * w % 10},{i * 7919 % 20_000},{i % 2}"  # names unsorted
+                for t, w, i in zip(tasks, workers, k)]
+        rows.insert(11_000, "")
+        text = "task_id,worker_id,item_id,label\n" + "\n".join(rows) + "\n"
+        *columns, lines = core._plain_columns(text.encode())
+        *scanned, scan_lines = core._vote_rows(text)
+        assert lines.tolist() == scan_lines
+        assert columns[0].tolist() == scanned[0] and columns[1].tolist() == scanned[1]
+        for codes, names, ids in zip(columns[2:4], columns[4:], scanned[2:]):
+            first_seen = (*dict.fromkeys(ids),)
+            assert names == first_seen
+            assert codes.dtype == np.int64 and codes.tolist() == [*map(first_seen.index, ids)]
+        path = tmp_path / "votes.csv"
+        path.write_text(text)
+        outcomes = []
+        for plain in (core._plain_columns, lambda raw: None):
+            with mock.patch.object(core, "_plain_columns", plain):
+                try:
+                    log = read_votes_csv(path, item_count=20_000)
+                    outcomes.append((log.item_ids.tolist(), vote_ids(log), log.tasks))
+                except MalformedInputError as exc:
+                    outcomes.append((str(exc), exc.line))
+        assert outcomes[0] == outcomes[1]
+        if layout == "split-task":
+            assert outcomes[0] == ("line 15003: task 't4' is split into non-contiguous blocks",
+                                   15003)
+
+    def test_only_repeat_first_and_last_vote_named_by_both_readers(self, tmp_path):
+        # the repeat gate's value sort sees the only repeated pair at the log's two ends; the
+        # stable order then names the later vote, on the file's last line
+        rows = [f"t{k // 500},w{k // 500},{k},{k % 2}" for k in range(4_999)] + ["t9,w0,0,1"]
+        path = tmp_path / "votes.csv"
+        path.write_text("task_id,worker_id,item_id,label\n" + "\n".join(rows) + "\n")
+        message = "line 5001: worker 'w0' votes twice on item 0"
+        with pytest.raises(MalformedInputError, match=message) as plain:
+            read_votes_csv(path, item_count=5_000)
+        with mock.patch.object(core, "_plain_columns", lambda raw: None):
+            with pytest.raises(MalformedInputError, match=message) as scanned:
+                read_votes_csv(path, item_count=5_000)
+        assert plain.value.line == scanned.value.line == 5001
+
     def test_long_id_goes_to_row_scan_within_width_budget(self, tmp_path):
         # one 5,000-character worker id would widen the worker column of a fixed-width
         # read to 5,000 bytes a row, 100 MB for 20k rows; the row scan reads the file

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,24 @@ class TestSimulate:
     def test_too_many_dirty_rejected(self):
         with pytest.raises(ValueError):
             SimScenario(n_items=10, n_dirty=11, task_size=2, n_tasks=1)
+
+    @pytest.mark.parametrize("n_tasks, permutations", [
+        (20, 10**20), (0, 2**60), (2**30, 2**30), (3, 2**59),
+    ])
+    def test_permutation_runs_at_2_60_rejected(self, n_tasks, permutations):
+        # permute_and_average runs one loop step per permutation and task: a count past
+        # 2**60 would loop for ever instead of failing
+        runs = permutations * max(n_tasks, 1)
+        message = f"permutations * n_tasks (at least 1) must be below 2**60: {runs}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimScenario(n_items=10, n_dirty=2, task_size=2, n_tasks=n_tasks,
+                        permutations=permutations)
+
+    @pytest.mark.parametrize("n_tasks, permutations", [(0, 2**60 - 1), (2**30, 2**30 - 1)])
+    def test_permutation_runs_below_2_60_accepted(self, n_tasks, permutations):
+        sc = SimScenario(n_items=10, n_dirty=2, task_size=2, n_tasks=n_tasks,
+                         permutations=permutations)
+        assert sc.permutations == permutations
 
 
 class TestGroundTruth:
