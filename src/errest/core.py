@@ -95,9 +95,7 @@ class VoteLog:
         items = np.asarray(raw[:end], dtype=np.int64)
         workers, task_codes = codes[0][:end], codes[1][:end]
         pairs = _packable(items, len(self.worker_names)) * len(self.worker_names) + workers
-        # A value sort finds whether a pair repeats; only then does the stable order, which
-        # keeps a pair's votes in arrival order, name the first repeat.
-        order = _stable_order(pairs)[0] if (np.diff(np.sort(pairs)) == 0).any() else pairs[:0]
+        order = _stable_order(pairs)[0]  # stable: a pair's votes stay in arrival order
         repeats = order[1:][np.diff(pairs[order]) == 0]
         starts = np.flatnonzero(np.diff(task_codes, prepend=-1))
         later = np.ones(len(starts), dtype=bool)  # a block whose code an earlier block has
@@ -144,9 +142,10 @@ def _packable(keys: np.ndarray, scale: int) -> np.ndarray:
 
 def _stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stable sort order of non-negative int64 keys and its inverse, from one value sort
-    of the packed keys key * n + position: they are distinct, so every sort algorithm agrees."""
-    here = np.arange(len(keys))
-    order = np.sort(_packable(keys, len(keys)) * len(keys) + here) % len(keys)
+    of the packed keys key * 2**s + position, 2**s > n: they are distinct, so every sort
+    algorithm agrees, and a mask takes the positions back."""
+    here, shift = np.arange(len(keys)), len(keys).bit_length()
+    order = np.sort(_packable(keys, 1 << shift) << shift | here) & ((1 << shift) - 1)
     back = np.empty_like(order)
     back[order] = here
     return order, back
@@ -331,21 +330,19 @@ def _plain_columns(raw: bytes):
         first += 1
     ids = []
     for first, last, width in ((left + 1, middle, widths[1]), (starts, left, widths[0])):
-        matrix = np.zeros((rows, width), np.uint8)  # each id, NUL-padded as S<width> is
+        matrix, new = np.zeros((rows, width), np.uint8), np.zeros(rows - 1, bool)
         for column in matrix.T:  # one gather per byte position; last is the comma after
             column[:] = byte[np.minimum(first, last)] * (first < last)
+            new |= column[1:] != column[:-1]  # a row whose id differs from the row above
             first += 1
-        ids.append(matrix.view(f"S{width}").ravel())
+        ids.append((matrix.view(f"S{width}").ravel(), np.flatnonzero(np.append(True, new))))
     del byte, commas, starts, left, middle, right, first, last  # freed before np.unique
     codes, names = [], []
-    while ids:  # worker, then task, each coded from its runs of equal adjacent ids
-        column = ids.pop(0)
-        heads = np.flatnonzero(np.append(True, column[1:] != column[:-1]))  # each run's first row
+    for column, heads in ids:  # worker, then task, each coded from its runs of equal adjacent ids
         unique, first, inverse = np.unique(column[heads], return_index=True, return_inverse=True)
         order, rank = _stable_order(first)  # numbered by first appearance, as from_ids does
         codes.append(np.repeat(rank[inverse], np.diff(heads, append=rows)))
         names.append(tuple(unique[order].astype(str).tolist()))
-        del column, heads, unique, first, inverse, order, rank  # freed before the next column
     return items, label == 1, *codes, *names, lines
 
 

@@ -73,7 +73,7 @@ class SimScenario:
         votes = self.n_tasks * min(self.task_size, self.n_items)  # simulate holds 8 bytes each
         if votes >= 2**60:
             raise ValueError(f"n_tasks * task_size (at most n_items) must be below 2**60: {votes}")
-        runs = self.permutations * max(self.n_tasks, 1)  # permute_and_average steps per task
+        runs = self.permutations * max(self.n_tasks, 1)  # per_run holds 8 bytes each
         if runs >= 2**60:
             raise ValueError(f"permutations * n_tasks (at least 1) must be below 2**60: {runs}")
         if self.n_items == 0 and self.n_tasks > 0:

@@ -398,8 +398,8 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 2
         assert "n_tasks * task_size" in capsys.readouterr().err
 
-    def test_permutations_beyond_loop_count_named_exit_2(self, tmp_path, capsys):
-        # the permutation loop once ran on, its memory climbing, instead of failing
+    def test_permutations_beyond_array_size_named_exit_2(self, tmp_path, capsys):
+        # per_run would hold 8 bytes per permutation and task, past any array size
         scenario = scenario_file(tmp_path)  # 25 tasks
         out = tmp_path / "out.csv"
         argv = ["simulate", str(scenario), "--permutations", "99999999999999999999", "--out",

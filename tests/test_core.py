@@ -186,6 +186,7 @@ class TestStableOrder:
     @example([2**63 - 1] * 3)
     @example([2**63 - 1, 0, 2**63 - 2, 0, 2**63 - 1])
     @example([2**62, 2**62 - 1])  # (max + 1) * n is 2**63 + 2: one past int64
+    @example([2**61, 2**61 - 1])  # two keys pack in 2 bits, and 2**61 << 2 is 2**63
     def test_equals_stable_argsort_with_inverse(self, keys):
         keys = np.array(keys, dtype=np.int64)
         order, back = core._stable_order(keys)
@@ -465,7 +466,8 @@ class TestCsv:
             workers = tasks % 3  # worker 0 returns after the runs of workers 1 and 2
         elif layout == "split-task":
             tasks = np.where((k >= 15_000) & (k < 16_000), 2, tasks)  # task 2 comes back
-        rows = [f"t{7 * t % 10},w{3 * w % 10},{i * 7919 % 20_000},{i % 2}"  # names unsorted
+        # names unsorted, and a name differs from the next before its last byte
+        rows = [f"t{7 * t % 10}0,w{3 * w % 10}0,{i * 7919 % 20_000},{i % 2}"
                 for t, w, i in zip(tasks, workers, k)]
         rows.insert(11_000, "")
         text = "task_id,worker_id,item_id,label\n" + "\n".join(rows) + "\n"
@@ -489,12 +491,12 @@ class TestCsv:
                     outcomes.append((str(exc), exc.line))
         assert outcomes[0] == outcomes[1]
         if layout == "split-task":
-            assert outcomes[0] == ("line 15003: task 't4' is split into non-contiguous blocks",
+            assert outcomes[0] == ("line 15003: task 't40' is split into non-contiguous blocks",
                                    15003)
 
     def test_only_repeat_first_and_last_vote_named_by_both_readers(self, tmp_path):
-        # the repeat gate's value sort sees the only repeated pair at the log's two ends; the
-        # stable order then names the later vote, on the file's last line
+        # the only repeated pair lies at the log's two ends; the stable order names the later
+        # vote, on the file's last line
         rows = [f"t{k // 500},w{k // 500},{k},{k % 2}" for k in range(4_999)] + ["t9,w0,0,1"]
         path = tmp_path / "votes.csv"
         path.write_text("task_id,worker_id,item_id,label\n" + "\n".join(rows) + "\n")

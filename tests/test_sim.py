@@ -119,8 +119,8 @@ class TestSimulate:
         (20, 10**20), (0, 2**60), (2**30, 2**30), (3, 2**59),
     ])
     def test_permutation_runs_at_2_60_rejected(self, n_tasks, permutations):
-        # permute_and_average runs one loop step per permutation and task: a count past
-        # 2**60 would loop for ever instead of failing
+        # permute_and_average's per_run holds 8 bytes per permutation and task: past 2**60
+        # its size would overflow, so the scenario is refused before any permutation runs
         runs = permutations * max(n_tasks, 1)
         message = f"permutations * n_tasks (at least 1) must be below 2**60: {runs}"
         with pytest.raises(ValueError, match=re.escape(message)):
