@@ -64,8 +64,8 @@ class VoteLog:
     task_names: tuple[str, ...]
     item_count: int
 
-    # Task blocks as (task_id, start, end) positions with end exclusive.
-    tasks: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
+    # Task block k is the votes task_bounds[k]:task_bounds[k+1] (int64; [0] for no vote).
+    task_bounds: np.ndarray = field(init=False, repr=False)
 
     @classmethod
     def from_ids(cls, item_ids, dirty, worker_ids: Sequence[str], task_ids: Sequence[str],
@@ -110,9 +110,7 @@ class VoteLog:
             raise MalformedInputError(message, position=split)
         if end < len(raw):
             raise MalformedInputError(_outside("item_id", raw[end], self.item_count), position=end)
-        bounds = starts.tolist() + [end]
-        names = map(self.task_names.__getitem__, task_codes[starts].tolist())
-        object.__setattr__(self, "tasks", tuple(zip(names, bounds, bounds[1:])))
+        object.__setattr__(self, "task_bounds", np.append(starts, end))
         object.__setattr__(self, "item_ids", items)
         object.__setattr__(self, "dirty", np.asarray(self.dirty, dtype=bool))
         object.__setattr__(self, "worker_codes", codes[0])
@@ -123,7 +121,7 @@ class VoteLog:
 
     @property
     def task_count(self) -> int:
-        return len(self.tasks)
+        return len(self.task_bounds) - 1
 
 
 def _outside(what: str, item_id: int, item_count: int) -> str:

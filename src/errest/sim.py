@@ -73,7 +73,7 @@ class SimScenario:
         votes = self.n_tasks * min(self.task_size, self.n_items)  # simulate holds 8 bytes each
         if votes >= 2**60:
             raise ValueError(f"n_tasks * task_size (at most n_items) must be below 2**60: {votes}")
-        runs = self.permutations * max(self.n_tasks, 1)  # per_run holds 8 bytes each
+        runs = self.permutations * max(self.n_tasks, 1)  # the CLI's per_run: 9 float64 each
         if runs >= 2**60:
             raise ValueError(f"permutations * n_tasks (at least 1) must be below 2**60: {runs}")
         if self.n_items == 0 and self.n_tasks > 0:
@@ -173,19 +173,20 @@ def scm(sample_size: int, task_size: int) -> int:
     return math.ceil(3 * sample_size / task_size)
 
 
-def permute_tasks(log: VoteLog, order: Sequence[int]) -> VoteLog:
-    """Reorder whole tasks by `order`: one gather of the task blocks' positions."""
-    blocks = log.tasks
-    if sorted(order) != list(range(len(blocks))):
+def permute_tasks(log: VoteLog, order: Sequence[int] | np.ndarray) -> VoteLog:
+    """Reorder whole tasks by `order`, an int array of each task index once: one gather."""
+    order, n_tasks = np.asarray(order), log.task_count
+    if ((order.dtype.kind not in "iu" and order.size) or order.shape != (n_tasks,)
+            or not np.array_equal(np.sort(order), np.arange(n_tasks))):
         raise ValueError("order must be a permutation of the task indices")
-    bounds = np.array([(a, b) for _, a, b in blocks], dtype=np.int64).reshape(-1, 2)
-    starts, ends = bounds[list(order)].T
-    sizes = ends - starts
+    order = order.astype(np.int64)  # an empty list reads as float64
+    starts, sizes = log.task_bounds[order], np.diff(log.task_bounds)[order]
     index = np.arange(len(log)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
     return VoteLog(
         log.item_ids[index], log.dirty[index], log.worker_codes[index],
-        task_codes=np.repeat(np.arange(len(blocks)), sizes), worker_names=log.worker_names,
-        task_names=tuple(blocks[b][0] for b in order), item_count=log.item_count)
+        task_codes=np.repeat(np.arange(n_tasks), sizes), worker_names=log.worker_names,
+        task_names=tuple(map(log.task_names.__getitem__, log.task_codes[starts].tolist())),
+        item_count=log.item_count)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def permute_and_average(
     n_tasks = log.task_count
     runs = []
     for i in range(r):
-        permuted = log if i == 0 else permute_tasks(log, list(rng.permutation(n_tasks)))
+        permuted = log if i == 0 else permute_tasks(log, rng.permutation(n_tasks))
         values = np.asarray(estimator(permuted), dtype=float)
         if len(values) != n_tasks:
             raise ValueError("estimator must produce one value per task")

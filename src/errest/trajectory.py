@@ -88,8 +88,7 @@ def evaluate_trajectory(
     n, n_tasks = log.item_count, log.task_count
     # Exact clamps: no multiplicity exceeds the vote count, no lag the task count.
     shift, trend_window = min(shift, len(log) + 1), min(trend_window, n_tasks)
-    replay = SwitchReplay(log)
-    starts = [start for _, start, _ in log.tasks]
+    replay, starts = SwitchReplay(log), log.task_bounds[:-1]
     d, p, q = log.dirty, replay.vote_pos, replay.vote_neg
 
     def reaching(j):  # the dirty votes that bring their item's dirty count to j
@@ -121,7 +120,7 @@ def evaluate_trajectory(
 
     chao = chao92(discovery, universe=n)
     vchao, insufficient = vchao92_columns(discovery, m, f_next, n_low, universe=n)
-    switch_moments = replay.prefix_moments(end for _, _, end in log.tasks)
+    switch_moments = replay.prefix_moments(log.task_bounds[1:].tolist())
     xi_pos, xi_neg = (d_switch(moments, n) for moments in switch_moments)
     lag = np.concatenate([np.zeros(trend_window, m.dtype), m])[:n_tasks]  # 0 before the log
     total = switch_total_errors(m, xi_pos.remaining_hat, xi_neg.remaining_hat, np.sign(m - lag), n)

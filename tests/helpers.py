@@ -43,6 +43,13 @@ def vote_ids(log):
             tuple(map(log.task_names.__getitem__, log.task_codes.tolist())))
 
 
+def task_tuples(log):
+    """The (task_id, start, end) block of each task, end exclusive, from log.task_bounds."""
+    bounds = log.task_bounds.tolist()
+    names = map(log.task_names.__getitem__, log.task_codes[bounds[:-1]].tolist())
+    return tuple(zip(names, bounds, bounds[1:]))
+
+
 def dirty_mask(truth):
     """Boolean mask over the universe of a GroundTruth's planted dirty items."""
     mask = np.zeros(truth.n_items, dtype=bool)
@@ -144,7 +151,8 @@ def permute_tasks_oracle(log, order):
     """permute_tasks on str ids: each task block's votes gathered in the new block order."""
     items, dirty = log.item_ids.tolist(), log.dirty.tolist()
     workers, tasks = vote_ids(log)
-    index = [pos for b in order for pos in range(log.tasks[b][1], log.tasks[b][2])]
+    blocks = task_tuples(log)
+    index = [pos for b in order for pos in range(blocks[b][1], blocks[b][2])]
     return VoteLog.from_ids([items[pos] for pos in index], [dirty[pos] for pos in index],
                             [workers[pos] for pos in index], [tasks[pos] for pos in index],
                             log.item_count)
@@ -263,6 +271,15 @@ def task_blocks(task_ids):
             blocks.append((task_ids[start], start, idx))
             start = idx
     return blocks
+
+
+def assert_task_bounds(log):
+    """task_bounds is 1-D int64, strictly increasing from 0 to len(log), and its blocks are
+    the runs of equal task ids."""
+    bounds = log.task_bounds
+    assert bounds.dtype == np.int64 and bounds.ndim == 1
+    assert bounds[0] == 0 and bounds[-1] == len(log) and (np.diff(bounds) > 0).all()
+    assert list(task_tuples(log)) == task_blocks(vote_ids(log)[1])
 
 
 VOTES_HEADER = ["task_id", "worker_id", "item_id", "label"]
@@ -700,7 +717,7 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
                       log.worker_names, log.task_names, len(logged))
     history = []
     columns = [[] for _ in fields(Trajectory)]
-    for task_index, (_, _, end) in enumerate(log.tasks):
+    for task_index, (_, _, end) in enumerate(task_tuples(log)):
         t = tally(compact, end)
         f = error_fstats(compact, end)
         stats = replay_switches(compact, end)

@@ -22,13 +22,14 @@ from errest.core import (
     write_truth_csv,
     write_votes_csv,
 )
-from errest.sim import SimScenario, simulate
+from errest.sim import SimScenario, permute_tasks, simulate
 
 from helpers import (
     C,
     D,
     VOTES_HEADER,
     assert_first_appearance_codes,
+    assert_task_bounds,
     broken_columns,
     brute_force_tally,
     contract_violation,
@@ -43,6 +44,7 @@ from helpers import (
     read_truth_oracle,
     single_item_log,
     task_blocks,
+    task_tuples,
     truth_texts,
     vote_ids,
     vote_logs,
@@ -165,7 +167,7 @@ def assert_contract_matches_oracle(columns, as_array):
     expected = contract_violation(item_ids, worker_ids, task_ids, item_count)
     if expected is None:
         log = VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
-        assert list(log.tasks) == task_blocks(task_ids)
+        assert list(task_tuples(log)) == task_blocks(task_ids)
     else:
         with pytest.raises(MalformedInputError) as exc:
             VoteLog.from_ids(item_ids, dirty, worker_ids, task_ids, item_count)
@@ -266,7 +268,7 @@ class TestVoteLogValidation:
         # codes need not follow first appearance: only a block repeating an earlier
         # block's task code splits that task
         log = VoteLog([0, 1, 2], [D, C, D], [1, 1, 0], [1, 1, 0], ("w0", "w1"), ("a", "b"), 3)
-        assert log.tasks == (("b", 0, 2), ("a", 2, 3))
+        assert task_tuples(log) == (("b", 0, 2), ("a", 2, 3))
         assert log.worker_codes.dtype == np.int64 and log.task_codes.dtype == np.int64
         with pytest.raises(MalformedInputError, match="task 'b' is split") as exc:
             VoteLog([0, 1, 2], [D, C, D], [1, 0, 1], [1, 0, 1], ("w0", "w1"), ("a", "b"), 3)
@@ -287,10 +289,29 @@ class TestVoteLogValidation:
     def test_from_ids_codes_follow_first_appearance(self, log):
         assert_first_appearance_codes(log)
 
-    def test_task_blocks(self):
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(vote_logs(), pooled_vote_logs()), st.integers(0, 8), st.data())
+    def test_task_blocks(self, drawn, n_tasks, data):
         log = make_log([[(0, D), (1, C)], [(2, D)]], item_count=3)
-        assert log.tasks == (("0", 0, 2), ("1", 2, 3))
+        assert task_tuples(log) == (("0", 0, 2), ("1", 2, 3))
         assert log.task_count == 2
+        # task_bounds on every kind of log: drawn, simulated, permuted and read back by both
+        # readers, the plain one and the row scan
+        scenario = SimScenario(n_items=12, n_dirty=3, task_size=4, n_tasks=n_tasks,
+                               fp_rate=0.1, fn_rate=0.1, seed=data.draw(st.integers(0, 99)))
+        logs = [log, make_log([], item_count=3), drawn, simulate(scenario)[0]]
+        logs += [permute_tasks(each, data.draw(st.permutations(range(each.task_count))))
+                 for each in logs[2:]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "votes.csv"
+            write_votes_csv(drawn, path)
+            with mock.patch.object(core, "_vote_rows", wraps=core._vote_rows) as row_scan:
+                logs.append(read_votes_csv(path, item_count=drawn.item_count))
+            assert row_scan.called == (len(drawn) == 0)  # a header alone is not plain
+            with mock.patch.object(core, "_plain_columns", lambda raw: None):
+                logs.append(read_votes_csv(path, item_count=drawn.item_count))
+        for each in logs:
+            assert_task_bounds(each)
 
 
 class TestFStatisticsType:
@@ -486,7 +507,7 @@ class TestCsv:
             with mock.patch.object(core, "_plain_columns", plain):
                 try:
                     log = read_votes_csv(path, item_count=20_000)
-                    outcomes.append((log.item_ids.tolist(), vote_ids(log), log.tasks))
+                    outcomes.append((log.item_ids.tolist(), vote_ids(log), task_tuples(log)))
                 except MalformedInputError as exc:
                     outcomes.append((str(exc), exc.line))
         assert outcomes[0] == outcomes[1]
@@ -704,7 +725,7 @@ class TestCsv:
         assert_same_columns(*logs)
         for name in ("worker_codes", "task_codes"):
             assert getattr(logs[0], name).tolist() == getattr(logs[1], name).tolist()
-        assert logs[0].tasks == logs[1].tasks
+        assert task_tuples(logs[0]) == task_tuples(logs[1])
 
     def test_votes_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "votes.csv"

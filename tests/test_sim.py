@@ -22,11 +22,15 @@ from errest.sim import (
 from errest.trajectory import evaluate_trajectory
 
 from helpers import (
+    C,
+    D,
     dirty_mask,
     log_votes,
+    make_log,
     nan_aggregate_oracle,
     permute_tasks_oracle,
     pooled_vote_logs,
+    task_tuples,
     vote_ids,
     vote_logs,
 )
@@ -89,7 +93,7 @@ class TestSimulate:
         sc = small_scenario()
         log, _ = simulate(sc)
         assert log.task_count == sc.n_tasks
-        for _, start, end in log.tasks:
+        for _, start, end in task_tuples(log):
             items = log.item_ids[start:end].tolist()
             assert len(items) == sc.task_size
             assert len(set(items)) == len(items)
@@ -104,7 +108,7 @@ class TestSimulate:
     def test_task_size_capped_at_pool(self):
         sc = SimScenario(n_items=3, n_dirty=1, task_size=10, n_tasks=4, seed=0)
         log, _ = simulate(sc)
-        for _, start, end in log.tasks:
+        for _, start, end in task_tuples(log):
             assert end - start == 3
 
     def test_invalid_rates_rejected(self):
@@ -211,8 +215,8 @@ def assert_blocks_kept(log, permuted):
     """Every task block of `permuted` holds the same votes as in `log`."""
     votes, permuted_votes = log_votes(log), log_votes(permuted)
     workers, permuted_workers = vote_ids(log)[0], vote_ids(permuted)[0]
-    original = {tid: (votes[s:e], workers[s:e]) for tid, s, e in log.tasks}
-    for tid, s, e in permuted.tasks:
+    original = {tid: (votes[s:e], workers[s:e]) for tid, s, e in task_tuples(log)}
+    for tid, s, e in task_tuples(permuted):
         assert (permuted_votes[s:e], permuted_workers[s:e]) == original[tid]
 
 
@@ -273,13 +277,27 @@ class TestPermuteAndAverage:
         assert permuted.task_count == 6
         assert_blocks_kept(log, permuted)
 
+    @pytest.mark.parametrize("order", [
+        [2.0, 1.0, 0.0], np.array([2.0, 1.0, 0.0]), (k for k in [2, 1, 0]), [[2, 1, 0]],
+        np.array([[2], [1], [0]]), [0, 0, 1], [0, 1], [0, 1, 2, 3], [],
+    ], ids=["float-list", "float-array", "generator", "2-D", "column", "repeated", "short",
+            "long", "empty"])
+    def test_order_not_a_permutation_rejected(self, order):
+        # a float order once passed the check and ended in an IndexError, and a generator
+        # in a numpy broadcast error
+        log = make_log([[(0, D)], [(1, C), (2, D)], [(2, C)]], item_count=3)
+        with pytest.raises(ValueError) as exc:
+            permute_tasks(log, order)
+        assert str(exc.value) == "order must be a permutation of the task indices"
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_permutation_keeps_blocks_and_totals(self, data):
         log = data.draw(vote_logs())
         order = data.draw(st.permutations(range(log.task_count)))
         permuted = permute_tasks(log, order)
-        assert [tid for tid, _, _ in permuted.tasks] == [log.tasks[b][0] for b in order]
+        blocks = task_tuples(log)
+        assert [tid for tid, _, _ in task_tuples(permuted)] == [blocks[b][0] for b in order]
         assert_blocks_kept(log, permuted)
         t, t_permuted = tally(log), tally(permuted)
         assert (t.pos == t_permuted.pos).all() and (t.neg == t_permuted.neg).all()
@@ -291,7 +309,7 @@ class TestPermuteAndAverage:
         permuted, expected = permute_tasks(log, order), permute_tasks_oracle(log, order)
         assert log_votes(permuted) == log_votes(expected)
         assert vote_ids(permuted) == vote_ids(expected)
-        assert permuted.tasks == expected.tasks
+        assert task_tuples(permuted) == task_tuples(expected)
         # task codes are renumbered to the new block order; worker codes are gathered
         assert permuted.task_codes.tolist() == expected.task_codes.tolist()
         assert permuted.task_names == expected.task_names
@@ -302,7 +320,8 @@ class TestPermuteAndAverage:
         order = [4, 0, 8, 2, 6, 1, 3, 7, 5]
         permuted, expected = permute_tasks(log, order), permute_tasks_oracle(log, order)
         assert log_votes(permuted) == log_votes(expected)
-        assert vote_ids(permuted) == vote_ids(expected) and permuted.tasks == expected.tasks
+        assert vote_ids(permuted) == vote_ids(expected)
+        assert task_tuples(permuted) == task_tuples(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
