@@ -42,6 +42,17 @@ def _fmt_column(values):
     return ("" if v != v else f"{v:.9g}" for v in values)
 
 
+def _check_outputs(inputs, outputs: dict) -> None:
+    """Raise, before anything is written, if two outputs or an output and an input are one file."""
+    if [*outputs.values()].count("-") > 1:
+        raise ValueError("only one of --out, --votes-out and --truth-out may be - (stdout)")
+    files = {flag: os.path.realpath(p) for flag, p in outputs.items() if p not in (None, "-")}
+    if len(set(files.values())) < len(files):
+        raise ValueError("--out, --votes-out and --truth-out must name different files")
+    if clash := [f for f, p in files.items() if p in map(os.path.realpath, filter(None, inputs))]:
+        raise ValueError(f"{clash[0]} {outputs[clash[0]]} would overwrite an input file")
+
+
 def run_estimate(
     votes_csv,
     n_items: int,
@@ -51,6 +62,7 @@ def run_estimate(
     out="-",
 ) -> None:
     """Replay a vote log and write the per-task estimator trajectory."""
+    _check_outputs([votes_csv, truth_csv], {"--out": out})
     log = read_votes_csv(votes_csv, n_items)
     truth = None
     if truth_csv is not None:
@@ -76,11 +88,8 @@ def run_simulate(
     Keyword overrides (seed, permutations, epsilon, ...) replace the
     corresponding scenario fields.
     """
-    if [out, votes_out, truth_out].count("-") > 1:
-        raise ValueError("only one of --out, --votes-out and --truth-out may be - (stdout)")
-    files = [os.path.realpath(p) for p in (out, votes_out, truth_out) if p not in (None, "-")]
-    if len(set(files)) < len(files):
-        raise ValueError("--out, --votes-out and --truth-out must name different files")
+    _check_outputs([scenario_json],
+                   {"--out": out, "--votes-out": votes_out, "--truth-out": truth_out})
     sc = load_scenario(scenario_json)
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
@@ -114,6 +123,7 @@ def run_simulate(
 
 def run_pairs(records_csv, alpha: float, beta: float, out="-") -> None:
     """Score the candidate-pair universe and write it with stratum labels."""
+    _check_outputs([records_csv], {"--out": out})
     stratum = stratum_rule(alpha, beta)
     table = read_records_csv(records_csv)
     quoted = dict(zip(table.ids, _csv_quoted(table.ids)))

@@ -11,7 +11,7 @@ import csv
 import io
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -49,79 +49,82 @@ class MalformedInputError(ValueError):
 class VoteLog:
     """An ordered vote stream over items [0, item_count), held as columns.
 
-    Vote k is (item_ids[k], dirty[k], worker_names[worker_codes[k]],
-    task_names[task_codes[k]]); its position k is its arrival index. Votes
-    of one task are contiguous (tasks arrive whole), and a worker votes at
-    most once per item. Codes index distinct names; read and simulated logs
-    number them in order of first appearance.
+    Vote k is (item_ids[k], dirty[k], worker_names[worker_codes[k]]); its position k is its
+    arrival index. Task block j is the votes task_bounds[j]:task_bounds[j+1], named
+    task_names[j]: a task's votes are contiguous (tasks arrive whole), so a name on two
+    blocks splits its task. A worker votes at most once per item. Worker codes index
+    distinct names; read and simulated logs number them in order of first appearance.
     """
 
     item_ids: np.ndarray
     dirty: np.ndarray
     worker_codes: np.ndarray
-    task_codes: np.ndarray
+    task_bounds: np.ndarray  # int64, rising strictly from 0 to len(item_ids): [0] for no vote
     worker_names: tuple[str, ...]
     task_names: tuple[str, ...]
     item_count: int
 
-    # Task block k is the votes task_bounds[k]:task_bounds[k+1] (int64; [0] for no vote).
-    task_bounds: np.ndarray = field(init=False, repr=False)
-
     @classmethod
     def from_ids(cls, item_ids, dirty, worker_ids: Sequence[str], task_ids: Sequence[str],
                  item_count: int) -> "VoteLog":
-        """A log from one str worker and task id per vote, coded in order of first appearance."""
-        codes, names = [], []
-        for ids in (worker_ids, task_ids):
-            names.append((*dict.fromkeys(ids),))
-            index = dict(zip(names[-1], range(len(names[-1]))))
-            codes.append(np.fromiter(map(index.__getitem__, ids), np.int64, count=len(ids)))
-        return cls(item_ids, dirty, *codes, *names, item_count)
+        """A log from one str worker and task id per vote; a run of equal task ids is a block."""
+        names = (*dict.fromkeys(worker_ids),)
+        index = dict(zip(names, range(len(names))))
+        codes = np.fromiter(map(index.__getitem__, worker_ids), np.int64, count=len(worker_ids))
+        heads = [k for k, (now, was) in enumerate(zip(task_ids, [None, *task_ids])) if now != was]
+        return cls(item_ids, dirty, codes, np.array([*heads, len(task_ids)], np.int64), names,
+                   tuple(map(task_ids.__getitem__, heads)), item_count)
 
     def __post_init__(self):
-        columns = (self.item_ids, self.dirty, self.worker_codes, self.task_codes)
-        if len({len(col) for col in columns}) > 1:
+        if len({len(col) for col in (self.item_ids, self.dirty, self.worker_codes)}) > 1:
             raise ValueError("vote-log columns must have equal length")
-        codes = np.asarray(self.worker_codes, np.int64), np.asarray(self.task_codes, np.int64)
-        for code, names in zip(codes, (self.worker_names, self.task_names)):
-            if ((code < 0) | (code >= len(names))).any() or len(set(names)) < len(names):
-                raise ValueError("vote-log codes must index distinct names")
-        # Ids are int64: check the raw ids exactly before the cast (an int past int64 may make
-        # numpy round all to float64). Later checks see only the votes before the first outside.
-        raw = np.asarray(self.item_ids)
-        raw = raw if raw.dtype.kind in "iu" else np.asarray(self.item_ids, dtype=object)
+        raw, codes, bounds = map(_integers, (self.item_ids, self.worker_codes, self.task_bounds))
+        if ((codes < 0) | (codes >= len(self.worker_names))).any() or len(
+                set(self.worker_names)) < len(self.worker_names):
+            raise ValueError("vote-log codes must index distinct names")
+        if bounds.shape != (len(self.task_names) + 1,) or bounds[0] != 0 or (
+                bounds[-1] != len(raw) or (bounds[1:] <= bounds[:-1]).any()):
+            raise ValueError("vote-log task_bounds must be len(task_names) + 1 integers "
+                             "rising strictly from 0 to len(item_ids)")
+        # The raw ids are checked before the int64 cast, later checks only up to the first outside.
         outside = np.flatnonzero((raw < 0) | (raw > min(self.item_count, 2**63) - 1))
         end = int(outside[0]) if len(outside) else len(raw)
-        items = np.asarray(raw[:end], dtype=np.int64)
-        workers, task_codes = codes[0][:end], codes[1][:end]
+        items, workers = np.asarray(raw[:end], np.int64), np.asarray(codes[:end], np.int64)
         pairs = _packable(items, len(self.worker_names)) * len(self.worker_names) + workers
         order = _stable_order(pairs)[0]  # stable: a pair's votes stay in arrival order
         repeats = order[1:][np.diff(pairs[order]) == 0]
-        starts = np.flatnonzero(np.diff(task_codes, prepend=-1))
-        later = np.ones(len(starts), dtype=bool)  # a block whose code an earlier block has
-        later[np.unique(task_codes[starts], return_index=True)[1]] = False
-        dup, split = int(repeats.min(initial=end)), int(starts[later].min(initial=end))
+        names, block, first = self.task_names, -1, {}  # block: the first to repeat a name
+        if len(set(names)) < len(names):  # a repeated name splits its task at the later block
+            block = next(k for k, name in enumerate(names) if first.setdefault(name, k) < k)
+        dup, split = int(repeats.min(initial=end)), min(int(bounds[block]), end)
         if dup < end and dup <= split:
             message = f"worker {self.worker_names[workers[dup]]!r} votes twice on item {items[dup]}"
             raise MalformedInputError(message, position=dup)
         if split < end:
-            task = self.task_names[task_codes[split]]
-            message = f"task {task!r} is split into non-contiguous blocks"
+            message = f"task {names[block]!r} is split into non-contiguous blocks"
             raise MalformedInputError(message, position=split)
         if end < len(raw):
             raise MalformedInputError(_outside("item_id", raw[end], self.item_count), position=end)
-        object.__setattr__(self, "task_bounds", np.append(starts, end))
         object.__setattr__(self, "item_ids", items)
         object.__setattr__(self, "dirty", np.asarray(self.dirty, dtype=bool))
-        object.__setattr__(self, "worker_codes", codes[0])
-        object.__setattr__(self, "task_codes", codes[1])
+        object.__setattr__(self, "worker_codes", np.asarray(codes, np.int64))
+        object.__setattr__(self, "task_bounds", np.asarray(bounds, np.int64))
 
     def __len__(self) -> int:
         return len(self.item_ids)
 
     @property
     def task_count(self) -> int:
-        return len(self.task_bounds) - 1
+        return len(self.task_names)
+
+
+def _integers(values) -> np.ndarray:
+    """values as an int array, object for ints past int64; ValueError for float or bool values."""
+    array = np.asarray(values)
+    array = array if array.dtype.kind in "iu" else np.asarray(values, dtype=object)
+    if array.dtype == object and not all(type(v) is int for v in array.flat):  # bool is no int
+        raise ValueError("vote-log item_ids, worker_codes and task_bounds must be integers")
+    return array
 
 
 def _outside(what: str, item_id: int, item_count: int) -> str:
@@ -294,7 +297,7 @@ def _plain_columns(raw: bytes):
     Plain bytes are ASCII with the exact header, LF line ends, no byte of _NOT_PLAIN,
     no line over the csv field limit: csv.reader plus strip would give the same cells.
     Each row must hold three commas, an item_id of 1 to 18 digits and a label 0 or 1.
-    Returns the VoteLog columns, ids as codes and names, and each vote's line, as _vote_rows.
+    Returns the VoteLog columns, each task run one block, and each vote's line, as _vote_rows.
     """
     scans = map(raw.__contains__, _NOT_PLAIN)  # one memchr scan per byte, no copy
     if not (raw.startswith(_PLAIN_HEADER) and raw.isascii()) or any(scans):
@@ -335,13 +338,12 @@ def _plain_columns(raw: bytes):
             first += 1
         ids.append((matrix.view(f"S{width}").ravel(), np.flatnonzero(np.append(True, new))))
     del byte, commas, starts, left, middle, right, first, last  # freed before np.unique
-    codes, names = [], []
-    for column, heads in ids:  # worker, then task, each coded from its runs of equal adjacent ids
-        unique, first, inverse = np.unique(column[heads], return_index=True, return_inverse=True)
-        order, rank = _stable_order(first)  # numbered by first appearance, as from_ids does
-        codes.append(np.repeat(rank[inverse], np.diff(heads, append=rows)))
-        names.append(tuple(unique[order].astype(str).tolist()))
-    return items, label == 1, *codes, *names, lines
+    (workers, heads), (tasks, blocks) = ids  # the heads of each column's runs of equal ids
+    unique, first, inverse = np.unique(workers[heads], return_index=True, return_inverse=True)
+    order, rank = _stable_order(first)  # workers numbered by first appearance, as from_ids does
+    codes = np.repeat(rank[inverse], np.diff(heads, append=rows))
+    names = [tuple(column.astype(str).tolist()) for column in (unique[order], tasks[blocks])]
+    return items, label == 1, codes, np.append(blocks, rows), *names, lines
 
 
 def _vote_rows(text: str) -> tuple:
@@ -410,7 +412,8 @@ def write_votes_csv(log: VoteLog, path) -> None:
     for kind, names in (("task_id", log.task_names), ("worker_id", log.worker_names)):
         if padded := [name for name in names if name != name.strip()]:  # would not read back
             raise ValueError(f"{kind} {padded[0]!r} has edge whitespace, which readers strip")
-    tasks = map(_csv_quoted(log.task_names).__getitem__, log.task_codes.tolist())
+    tasks = chain.from_iterable(map(repeat, _csv_quoted(log.task_names),
+                                    np.diff(log.task_bounds).tolist()))
     workers = map(_csv_quoted(log.worker_names).__getitem__, log.worker_codes.tolist())
     votes = zip(tasks, workers, log.item_ids.tolist(), log.dirty.astype(int).tolist())
     _write_table(path, VOTES_CSV_HEADER, "%s,%s,%d,%d\n", votes)

@@ -148,9 +148,9 @@ def simulate(sc: SimScenario) -> tuple[VoteLog, GroundTruth]:
             draws[k] = rng.random(size)
     items, draws = items.ravel(), draws.ravel()
     dirty = np.where(truth_mask[items], draws >= sc.fn_rate, draws < sc.fp_rate)
-    codes, names = np.repeat(np.arange(sc.n_tasks), size), tuple(map(str, range(sc.n_tasks)))
-    # Task k goes to worker k alone, so one code column serves both.
-    log = VoteLog(items, dirty, codes, codes, tuple(f"w{k}" for k in names), names, sc.n_items)
+    bounds, names = np.arange(sc.n_tasks + 1) * size, tuple(map(str, range(sc.n_tasks)))
+    workers = np.repeat(np.arange(sc.n_tasks), size)  # task k goes to worker k alone
+    log = VoteLog(items, dirty, workers, bounds, tuple(f"w{k}" for k in names), names, sc.n_items)
     return log, GroundTruth(dirty_ids=np.sort(dirty_items), n_items=sc.n_items)
 
 
@@ -181,12 +181,11 @@ def permute_tasks(log: VoteLog, order: Sequence[int] | np.ndarray) -> VoteLog:
         raise ValueError("order must be a permutation of the task indices")
     order = order.astype(np.int64)  # an empty list reads as float64
     starts, sizes = log.task_bounds[order], np.diff(log.task_bounds)[order]
-    index = np.arange(len(log)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    return VoteLog(
-        log.item_ids[index], log.dirty[index], log.worker_codes[index],
-        task_codes=np.repeat(np.arange(n_tasks), sizes), worker_names=log.worker_names,
-        task_names=tuple(map(log.task_names.__getitem__, log.task_codes[starts].tolist())),
-        item_count=log.item_count)
+    bounds = np.append(0, np.cumsum(sizes))  # of the blocks in their new order
+    index = np.arange(len(log)) + np.repeat(starts - bounds[:-1], sizes)
+    names = tuple(map(log.task_names.__getitem__, order.tolist()))
+    return VoteLog(log.item_ids[index], log.dirty[index], log.worker_codes[index], bounds,
+                   log.worker_names, names, log.item_count)
 
 
 @dataclass(frozen=True)

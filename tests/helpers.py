@@ -38,16 +38,17 @@ def make_log(task_votes, item_count):
 
 
 def vote_ids(log):
-    """The (worker_ids, task_ids) str tuples of a log, one id per vote: names[codes]."""
+    """The (worker_ids, task_ids) str tuples of a log, one id per vote: worker names[codes],
+    and each task name repeated over its block."""
+    sizes = np.diff(log.task_bounds).tolist()
     return (tuple(map(log.worker_names.__getitem__, log.worker_codes.tolist())),
-            tuple(map(log.task_names.__getitem__, log.task_codes.tolist())))
+            tuple(name for name, size in zip(log.task_names, sizes) for _ in range(size)))
 
 
 def task_tuples(log):
     """The (task_id, start, end) block of each task, end exclusive, from log.task_bounds."""
     bounds = log.task_bounds.tolist()
-    names = map(log.task_names.__getitem__, log.task_codes[bounds[:-1]].tolist())
-    return tuple(zip(names, bounds, bounds[1:]))
+    return tuple(zip(log.task_names, bounds, bounds[1:]))
 
 
 def dirty_mask(truth):
@@ -206,10 +207,12 @@ def partition_oracle(scores, alpha, beta):
 
 
 def assert_first_appearance_codes(log):
-    """Codes are int64 and number distinct names in order of first appearance."""
-    for codes, names in ((log.worker_codes, log.worker_names), (log.task_codes, log.task_names)):
-        assert codes.dtype == np.int64 and len(set(names)) == len(names)
-        assert list(dict.fromkeys(codes.tolist())) == list(range(len(names)))
+    """Worker codes are int64 and number distinct names in order of first appearance; each
+    task block has its own name."""
+    codes, names = log.worker_codes, log.worker_names
+    assert codes.dtype == np.int64 and len(set(names)) == len(names)
+    assert list(dict.fromkeys(codes.tolist())) == list(range(len(names)))
+    assert len(set(log.task_names)) == len(log.task_names) == log.task_count
 
 
 @st.composite
@@ -713,7 +716,7 @@ def trajectory_oracle(log, shift, trend_window, truth=None):
     """
     n = log.item_count
     logged, dense = np.unique(log.item_ids, return_inverse=True)
-    compact = VoteLog(dense.reshape(-1), log.dirty, log.worker_codes, log.task_codes,
+    compact = VoteLog(dense.reshape(-1), log.dirty, log.worker_codes, log.task_bounds,
                       log.worker_names, log.task_names, len(logged))
     history = []
     columns = [[] for _ in fields(Trajectory)]

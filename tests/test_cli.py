@@ -6,6 +6,7 @@ from itertools import combinations
 import json
 from pathlib import Path
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -313,6 +314,37 @@ class TestEstimate:
         assert code == 2
         assert f"line {line}: byte 0xff is not valid UTF-8" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "s.json", "--votes-out", "s.json"], "--votes-out"),
+    (["simulate", "s.json", "--out", "o.csv", "--truth-out", "./s.json"], "--truth-out"),
+    (["simulate", "s.json", "--out", "alias.json"], "--out"),  # a symlink to the scenario
+    (["estimate", "v.csv", "--n-items", "3", "--out", "v.csv"], "--out"),
+    (["estimate", "v.csv", "--n-items", "3", "--truth", "t.csv", "--out", "t.csv"], "--out"),
+    (["pairs", "r.csv", "--alpha", "0.5", "--beta", "0.9", "--out", "r.csv"], "--out"),
+])
+def test_output_naming_an_input_exit_2_input_kept(tmp_path, monkeypatch, capsys, argv, flag):
+    # each command once exited 0 having written its table over the file it had read
+    monkeypatch.chdir(tmp_path)
+    for name, fixture in (("s.json", "fixture_scenario.json"), ("v.csv", "fixture_votes.csv"),
+                          ("t.csv", "fixture_truth.csv"), ("r.csv", "fixture_records.csv")):
+        shutil.copy(DATA / fixture, name)
+    (tmp_path / "alias.json").symlink_to("s.json")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(argv) == 2
+    message = f"errest: {flag} {argv[argv.index(flag) + 1]} would overwrite an input file\n"
+    assert capsys.readouterr() == ("", message)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_one_file_read_as_votes_and_truth_not_an_overwrite(tmp_path, capsys):
+    # only outputs are checked against inputs: the truth reader names the file's first line
+    votes, out = DATA / "fixture_votes.csv", tmp_path / "out.csv"
+    argv = ["estimate", str(votes), "--n-items", "3", "--truth", str(votes), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("errest: line 1: truth entry "
+                                       "'task_id,worker_id,item_id,label' is not an integer\n")
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])

@@ -265,13 +265,13 @@ class TestVoteLogValidation:
         assert exc.value.position == 1
 
     def test_codes_in_any_order(self):
-        # codes need not follow first appearance: only a block repeating an earlier
-        # block's task code splits that task
-        log = VoteLog([0, 1, 2], [D, C, D], [1, 1, 0], [1, 1, 0], ("w0", "w1"), ("a", "b"), 3)
+        # worker codes need not follow first appearance; only a block repeating an earlier
+        # block's task name splits that task
+        log = VoteLog([0, 1, 2], [D, C, D], [1, 1, 0], [0, 2, 3], ("w0", "w1"), ("b", "a"), 3)
         assert task_tuples(log) == (("b", 0, 2), ("a", 2, 3))
-        assert log.worker_codes.dtype == np.int64 and log.task_codes.dtype == np.int64
+        assert log.worker_codes.dtype == np.int64 and log.task_bounds.dtype == np.int64
         with pytest.raises(MalformedInputError, match="task 'b' is split") as exc:
-            VoteLog([0, 1, 2], [D, C, D], [1, 0, 1], [1, 0, 1], ("w0", "w1"), ("a", "b"), 3)
+            VoteLog([0, 1, 2], [D, C, D], [1, 0, 1], [0, 1, 2, 3], ("w0", "w1"), ("b", "a", "b"), 3)
         assert exc.value.position == 2
 
     @pytest.mark.parametrize(
@@ -280,9 +280,54 @@ class TestVoteLogValidation:
     )
     def test_codes_must_index_distinct_names(self, worker_codes, worker_names):
         with pytest.raises(ValueError, match="codes must index distinct names"):
-            VoteLog([0, 1], [D, D], worker_codes, [0, 0], worker_names, ("t0",), 2)
-        with pytest.raises(ValueError, match="codes must index distinct names"):
-            VoteLog([0, 1], [D, D], [0, 0], worker_codes, ("t0",), worker_names, 2)
+            VoteLog([0, 1], [D, D], worker_codes, [0, 2], worker_names, ("t0",), 2)
+
+    @pytest.mark.parametrize("bounds, task_names", [
+        ([0, 2], ()),  # one entry too many for the names
+        ([0, 2], ("t0", "t1")),  # one entry too few
+        ([2], ()),  # no task, yet votes
+        ([1, 2], ("t0",)),  # starts past the first vote
+        ([0, 1], ("t0",)),  # ends before the last vote
+        ([0, 3], ("t0",)),  # ends past it
+        ([0, 0, 2], ("t0", "t1")),  # an empty block
+        ([0, 2, 1, 2], ("t0", "t1", "t2")),  # falls
+        ([[0, 2]], ("t0",)),  # not 1-D
+        (np.array([0, 2], np.uint8)[:1], ()),  # an unsigned dtype, still checked
+        (np.array([0, 2, 1, 2], np.uint8), ("t0", "t1", "t2")),  # falls, where np.diff wraps
+        (0, ()),  # a scalar
+    ])
+    def test_bad_task_bounds_rejected(self, bounds, task_names):
+        with pytest.raises(ValueError, match="task_bounds must be len"):
+            VoteLog([0, 1], [D, D], [0, 1], bounds, ("w0", "w1"), task_names, 2)
+
+    @pytest.mark.parametrize("item_ids, worker_codes, bounds", [
+        ([0.5, 1.9], [0, 1], [0, 2]),  # once truncated to [0, 1]
+        ([0, 1], [0.9, 0.2], [0, 2]),  # once truncated to [0, 0]: a false repeated vote
+        ([0, 1], [0, 1], [0.0, 2.0]),
+        ([True, False], [0, 1], [0, 2]),
+        ([0, 1], [True, False], [0, 2]),
+        ([0, 1], [0, 1], [False, True]),
+        (np.array([0, 0.5], dtype=object), [0, 1], [0, 2]),
+        ([0.0, 2**70], [0, 1], [0, 2]),  # a float beside an int past int64
+    ])
+    def test_float_or_bool_columns_rejected(self, item_ids, worker_codes, bounds):
+        with pytest.raises(ValueError, match="must be integers"):
+            VoteLog(item_ids, [D, D], worker_codes, bounds, ("w0", "w1"), ("t0",), 2)
+
+    @pytest.mark.parametrize("item_ids", [[0.5, 1.9], np.array([0.0, 1.0]), [True, False]])
+    def test_float_or_bool_item_ids_rejected_by_from_ids(self, item_ids):
+        # once cast to the ints [0, 1] and accepted
+        with pytest.raises(ValueError, match="must be integers"):
+            VoteLog.from_ids(item_ids, [D, D], ("w0", "w1"), ("t0", "t0"), 2)
+
+    @pytest.mark.parametrize("item_ids", [
+        [1, 2**63 - 1], np.array([0, 1], np.uint8), np.array([0, 1], dtype=object)])
+    def test_integer_columns_of_every_kind_accepted(self, item_ids):
+        # unsigned, narrow and object arrays of ints pass, and every column is cast to int64
+        log = VoteLog(item_ids, [D, D], np.array([0, 1], np.uint8), np.array([0, 2], np.int32),
+                      ("w0", "w1"), ("t0",), 2**63)
+        assert log.item_ids.tolist() == [int(i) for i in item_ids]
+        assert log.item_ids.dtype == log.worker_codes.dtype == log.task_bounds.dtype == np.int64
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(vote_logs(), pooled_vote_logs()))
@@ -448,7 +493,7 @@ class TestCsv:
                 return
             with mock.patch.object(core, "_plain_columns", lambda text: None):
                 scanned = read_votes_csv(path, item_count=8)
-        for name in ("item_ids", "dirty", "worker_codes", "task_codes"):
+        for name in ("item_ids", "dirty", "worker_codes", "task_bounds"):
             assert getattr(plain, name).tolist() == getattr(scanned, name).tolist()
         assert (plain.worker_names, plain.task_names) == (scanned.worker_names, scanned.task_names)
 
@@ -470,7 +515,7 @@ class TestCsv:
         assert_same_columns(plain, row_scan)
         assert (plain.worker_names, plain.task_names) == (row_scan.worker_names,
                                                           row_scan.task_names)
-        for name in ("worker_codes", "task_codes"):
+        for name in ("worker_codes", "task_bounds"):
             assert getattr(plain, name).tolist() == getattr(row_scan, name).tolist()
         assert lines.tolist() == scan_lines
 
@@ -496,10 +541,14 @@ class TestCsv:
         *scanned, scan_lines = core._vote_rows(text)
         assert lines.tolist() == scan_lines
         assert columns[0].tolist() == scanned[0] and columns[1].tolist() == scanned[1]
-        for codes, names, ids in zip(columns[2:4], columns[4:], scanned[2:]):
-            first_seen = (*dict.fromkeys(ids),)
-            assert names == first_seen
-            assert codes.dtype == np.int64 and codes.tolist() == [*map(first_seen.index, ids)]
+        first_seen = (*dict.fromkeys(scanned[2]),)  # the workers, coded by first appearance
+        assert columns[4] == first_seen
+        codes = columns[2]
+        assert codes.dtype == np.int64 and codes.tolist() == [*map(first_seen.index, scanned[2])]
+        runs = task_blocks(scanned[3])  # the tasks, one block a run of equal ids
+        assert columns[5] == tuple(name for name, _, _ in runs)
+        bounds = columns[3]
+        assert bounds.dtype == np.int64 and bounds.tolist() == [0, *(end for _, _, end in runs)]
         path = tmp_path / "votes.csv"
         path.write_text(text)
         outcomes = []
@@ -723,7 +772,7 @@ class TestCsv:
         monkeypatch.setattr(core, "_vote_rows", row_scan)
         logs = [read_votes_csv(path, item_count=40) for path in (lf, crlf)]
         assert_same_columns(*logs)
-        for name in ("worker_codes", "task_codes"):
+        for name in ("worker_codes", "task_bounds"):
             assert getattr(logs[0], name).tolist() == getattr(logs[1], name).tolist()
         assert task_tuples(logs[0]) == task_tuples(logs[1])
 
@@ -752,6 +801,26 @@ class TestCsv:
         with pytest.raises(MalformedInputError, match="line 4.*twice") as exc:
             read_votes_csv(path, item_count=3)
         assert exc.value.line == 4
+
+    def test_split_task_named_at_one_position_everywhere(self, tmp_path):
+        # task t0 comes back at vote 3: the log from block bounds, from_ids and both readers
+        # name that vote, on line 5 of the file
+        rows = [("t0", "w0", 0, 1), ("t1", "w1", 1, 0), ("t1", "w2", 2, 1), ("t0", "w3", 3, 1)]
+        task_ids, worker_ids, item_ids, labels = zip(*rows)
+        message = "task 't0' is split into non-contiguous blocks"
+        with pytest.raises(MalformedInputError, match=message) as bounds:
+            VoteLog(item_ids, [D] * 4, [0, 1, 2, 3], [0, 1, 3, 4], worker_ids, ("t0", "t1", "t0"), 4)
+        with pytest.raises(MalformedInputError, match=message) as ids:
+            VoteLog.from_ids(item_ids, [D] * 4, worker_ids, task_ids, 4)
+        assert bounds.value.position == ids.value.position == 3
+        path = tmp_path / "votes.csv"
+        path.write_text("task_id,worker_id,item_id,label\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in rows))
+        for plain in (core._plain_columns, lambda raw: None):
+            with mock.patch.object(core, "_plain_columns", plain):
+                with pytest.raises(MalformedInputError, match=f"line 5: {message}") as read:
+                    read_votes_csv(path, item_count=4)
+            assert read.value.line == 5
 
     def test_huge_item_id_reports_line(self, tmp_path):
         path = tmp_path / "votes.csv"
